@@ -9,11 +9,8 @@
 //	stencilserve -loadtest 2000       # self-contained load test, JSON report
 //	stencilserve -smoke               # deterministic smoke matrix (CI gate)
 //	stencilserve -crashsmoke          # kill/recover + journal-overhead report
-//	stencilserve -hasmoke             # failover smoke: replicate, kill -9, promote
 //	stencilserve -journal-dump DIR    # pretty-print a data directory's journal
 //	stencilserve -journal-compact DIR # compact a data directory's journal in place
-//	stencilserve -data-dir B -replica-of http://primary:8080
-//	                                  # follower: mirror the primary, promote on demand
 package main
 
 import (
@@ -56,8 +53,7 @@ func run(args []string, out io.Writer) error {
 	dataDir := fs.String("data-dir", "", "durable data directory (job journal + cache spill); empty = in-memory")
 	journalDump := fs.String("journal-dump", "", "pretty-print the journal in this data directory (or file) and exit")
 	crashsmoke := fs.Bool("crashsmoke", false, "run the kill/recover crash smoke and journal-overhead measurement, then exit")
-	hasmoke := fs.Bool("hasmoke", false, "run the replication/failover smoke and replication-overhead measurement, then exit")
-	ref := fs.String("ref", "", "crashsmoke/hasmoke: gate against this reference report (byte-exact deterministic section, overhead <= 1.5x)")
+	ref := fs.String("ref", "", "crashsmoke: gate against this reference report (byte-exact deterministic section, overhead <= 1.5x)")
 	quotaRate := fs.Float64("quota-rate", 0, "per-tenant submit rate budget, jobs/s (0 = unlimited)")
 	quotaBurst := fs.Int("quota-burst", 0, "per-tenant submit burst (0 = max(1, rate))")
 	quotaInFlight := fs.Int("quota-inflight", 0, "per-tenant queued+running job budget (0 = unlimited)")
@@ -65,10 +61,6 @@ func run(args []string, out io.Writer) error {
 	degradeDepth := fs.Int("degrade-depth", 0, "queue depth that enters degraded mode (0 = disabled)")
 	shedDepth := fs.Int("shed-depth", 0, "queue depth that sheds all new submissions (0 = queue-depth)")
 	shedAge := fs.Duration("shed-age", 0, "oldest-queued-job age that sheds all new submissions (0 = disabled)")
-	replicaOf := fs.String("replica-of", "", "run as a follower replicating this primary URL (requires -data-dir)")
-	promoteOnLoss := fs.Bool("promote-on-lease-loss", false, "follower: auto-promote when the primary goes silent and its lease expires")
-	leasePath := fs.String("lease", "", "failover lease file shared between primary and standby (empty = no lease arbitration)")
-	leaseTTL := fs.Duration("lease-ttl", 0, "failover lease time-to-live (0 = 2s)")
 	journalCompact := fs.String("journal-compact", "", "compact the journal in this data directory in place and exit")
 	compactBytes := fs.Int64("compact-bytes", 0, "journal size that triggers automatic compaction (0 = disabled)")
 	if err := fs.Parse(args); err != nil {
@@ -101,8 +93,6 @@ func run(args []string, out io.Writer) error {
 		ShedDepth:    *shedDepth,
 		ShedAge:      *shedAge,
 		CompactBytes: *compactBytes,
-		LeasePath:    *leasePath,
-		LeaseTTL:     *leaseTTL,
 	}
 	switch {
 	case *journalDump != "":
@@ -122,8 +112,6 @@ func run(args []string, out io.Writer) error {
 		return nil
 	case *crashsmoke:
 		return runCrashSmoke(cfg, *ref, report, out)
-	case *hasmoke:
-		return runHASmoke(cfg, *ref, report, out)
 	case *smoke:
 		return runSmoke(cfg, report)
 	case *loadtest > 0:
@@ -131,11 +119,6 @@ func run(args []string, out io.Writer) error {
 			cfg.QueueDepth = *loadtest + 64
 		}
 		return runLoadTest(cfg, *loadtest, *concurrency, report, out)
-	case *replicaOf != "":
-		if cfg.DataDir == "" {
-			return fmt.Errorf("-replica-of requires -data-dir (the follower's journal mirror)")
-		}
-		return serveFollower(cfg, *addr, *replicaOf, *promoteOnLoss, out)
 	}
 	return serveForever(cfg, *addr, out)
 }
@@ -165,9 +148,6 @@ func serveForever(cfg serve.Config, addr string, out io.Writer) error {
 			cfg.DataDir, rec.JournalRecords, rec.TornRecords, rec.Reenqueued, rec.Completed,
 			rec.ResultsRehydrated, rec.SetupsRehydrated)
 	}
-	if cfg.LeasePath != "" {
-		fmt.Fprintf(out, "holding failover lease %s\n", cfg.LeasePath)
-	}
 
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
@@ -179,10 +159,6 @@ func serveForever(cfg serve.Config, addr string, out io.Writer) error {
 		return err
 	case got := <-sig:
 		fmt.Fprintf(out, "received %s, draining...\n", got)
-	case <-s.LeaseLost():
-		// Another replica took the failover lease: this server is no longer
-		// the primary. Drain and exit rather than split-brain.
-		fmt.Fprintf(out, "failover lease %s lost to another replica, draining...\n", cfg.LeasePath)
 	}
 	s.Drain()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -191,91 +167,6 @@ func serveForever(cfg serve.Config, addr string, out io.Writer) error {
 		return err
 	}
 	fmt.Fprintln(out, "drained; all jobs complete")
-	return nil
-}
-
-// serveFollower runs the standby half of a replicated pair: it mirrors the
-// primary's journal and artifacts into the local data directory and serves
-// the follower control plane (healthz/readyz/metrics/promote). Promotion —
-// via POST /v1/promote, or automatically with -promote-on-lease-loss once
-// the primary goes silent and its lease expires — switches the same address
-// over to the full primary API. SIGTERM stops replication (the mirror stays
-// on disk, ready to resume or promote later); after promotion it drains like
-// a primary.
-func serveFollower(cfg serve.Config, addr, primary string, promoteOnLoss bool, out io.Writer) error {
-	f, err := serve.OpenFollower(serve.FollowerConfig{
-		DataDir:            cfg.DataDir,
-		Primary:            primary,
-		Serve:              cfg,
-		PromoteOnLeaseLoss: promoteOnLoss,
-		LeasePath:          cfg.LeasePath,
-		LeaseTTL:           cfg.LeaseTTL,
-		ID:                 cfg.LeaseID,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(out, format+"\n", args...)
-		},
-	})
-	if err != nil {
-		return err
-	}
-	hs := &http.Server{Addr: addr, Handler: f.Handler()}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		f.Stop()
-		return err
-	}
-	st := f.Stats()
-	fmt.Fprintf(out, "stencilserve follower of %s listening on %s (mirror %s, %d bytes applied)\n",
-		primary, ln.Addr(), cfg.DataDir, st.Applied)
-
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-
-	// After a promotion this process is a primary and must honor the same
-	// lease-loss contract serveForever does.
-	promotedLost := make(chan struct{})
-	go func() {
-		t := time.NewTicker(200 * time.Millisecond)
-		defer t.Stop()
-		for range t.C {
-			s := f.Promoted()
-			if s == nil {
-				continue
-			}
-			if ch := s.LeaseLost(); ch != nil {
-				<-ch
-				close(promotedLost)
-			}
-			return
-		}
-	}()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errc:
-		return err
-	case got := <-sig:
-		fmt.Fprintf(out, "received %s, stopping...\n", got)
-	case <-promotedLost:
-		fmt.Fprintf(out, "failover lease %s lost to another replica, draining...\n", cfg.LeasePath)
-	}
-	if s := f.Promoted(); s != nil {
-		s.Drain()
-	} else {
-		f.Stop()
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := hs.Shutdown(ctx); err != nil {
-		return err
-	}
-	if s := f.Promoted(); s != nil {
-		fmt.Fprintln(out, "drained; all jobs complete")
-	} else {
-		st := f.Stats()
-		fmt.Fprintf(out, "follower stopped; %d bytes applied (lag %d), mirror intact\n", st.Applied, st.LagBytes)
-	}
 	return nil
 }
 
@@ -569,72 +460,51 @@ func runLoadTest(cfg serve.Config, n, concurrency int, report, log io.Writer) er
 
 // ---- HTTP client helpers ----
 
-// submitAndWait submits a job to a single server and blocks for its terminal
-// state. See submitFailover for the retry contract.
+// submitAndWait submits a job and blocks for its terminal state. A 429
+// (quota or shedding) is retried after the server's Retry-After hint — the
+// well-behaved-client half of the backpressure contract — so a load test
+// with quotas enabled converges to the budget instead of failing.
 func submitAndWait(base, tenant string, spec *jobspec.Spec) (serve.Status, error) {
-	return submitFailover([]string{base}, tenant, spec)
-}
-
-// submitFailover is the HA-aware half of the client contract: targets are
-// tried in order, moving on when a target is unreachable (connection refused:
-// the primary died) or answers 503 not_primary/not_ready (the target is still
-// a follower). A 429 (quota or shedding) is retried after the server's
-// Retry-After hint, so a load test with quotas enabled converges to the
-// budget instead of failing. A full pass with no live primary backs off
-// briefly and retries, so a client that spans a failover lands on the
-// promoted standby instead of erroring out.
-func submitFailover(targets []string, tenant string, spec *jobspec.Spec) (serve.Status, error) {
 	body, err := json.Marshal(spec)
 	if err != nil {
 		return serve.Status{}, err
 	}
-	var lastErr error
-	for attempt := 0; attempt < 120; attempt++ {
-		for _, base := range targets {
-			req, err := http.NewRequest("POST", base+"/v1/jobs?wait=1", bytes.NewReader(body))
-			if err != nil {
-				return serve.Status{}, err
-			}
-			req.Header.Set("X-Tenant", tenant)
-			req.Header.Set("Content-Type", "application/json")
-			resp, err := http.DefaultClient.Do(req)
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			b, err := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			switch {
-			case resp.StatusCode == http.StatusAccepted:
-				var st serve.Status
-				if err := json.Unmarshal(b, &st); err != nil {
-					return serve.Status{}, err
-				}
-				return st, nil
-			case resp.StatusCode == http.StatusTooManyRequests:
-				wait := time.Second
-				if ra, err := time.ParseDuration(resp.Header.Get("Retry-After") + "s"); err == nil && ra > 0 {
-					wait = ra
-				}
-				if wait > 2*time.Second {
-					wait = 2 * time.Second
-				}
-				time.Sleep(wait)
-				lastErr = fmt.Errorf("submit %s: 429 %s", base, b)
-			case resp.StatusCode == http.StatusServiceUnavailable &&
-				(bytes.Contains(b, []byte(serve.CodeNotPrimary)) || bytes.Contains(b, []byte(serve.CodeNotReady))):
-				lastErr = fmt.Errorf("submit %s: %d %s", base, resp.StatusCode, b)
-			default:
-				return serve.Status{}, fmt.Errorf("submit %s: %d %s", base, resp.StatusCode, b)
-			}
+	for attempt := 0; ; attempt++ {
+		req, err := http.NewRequest("POST", base+"/v1/jobs?wait=1", bytes.NewReader(body))
+		if err != nil {
+			return serve.Status{}, err
 		}
-		time.Sleep(50 * time.Millisecond)
+		req.Header.Set("X-Tenant", tenant)
+		req.Header.Set("Content-Type", "application/json")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			return serve.Status{}, err
+		}
+		b, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			return serve.Status{}, err
+		}
+		if resp.StatusCode == http.StatusTooManyRequests && attempt < 120 {
+			wait := time.Second
+			if ra, err := time.ParseDuration(resp.Header.Get("Retry-After") + "s"); err == nil && ra > 0 {
+				wait = ra
+			}
+			if wait > 2*time.Second {
+				wait = 2 * time.Second
+			}
+			time.Sleep(wait)
+			continue
+		}
+		if resp.StatusCode != http.StatusAccepted {
+			return serve.Status{}, fmt.Errorf("submit: %d %s", resp.StatusCode, b)
+		}
+		var st serve.Status
+		if err := json.Unmarshal(b, &st); err != nil {
+			return serve.Status{}, err
+		}
+		return st, nil
 	}
-	return serve.Status{}, fmt.Errorf("submit: no live primary among %v: %w", targets, lastErr)
 }
 
 func fetch(url string) ([]byte, error) {

@@ -20,8 +20,6 @@ const (
 	CodeOverloaded    = "overloaded"
 	CodeDegraded      = "degraded"
 	CodeInternal      = "internal"
-	CodeNotReady      = "not_ready"   // /readyz on a follower out of sync
-	CodeNotPrimary    = "not_primary" // data-plane request to a follower
 )
 
 // AdmissionError is a refused submission: backpressure, shedding, quota, or

@@ -9,8 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
@@ -104,22 +102,13 @@ type journal struct {
 	// on; the syncer goroutine sleeps whenever synced has caught up to it.
 	wantSync int64
 
-	// Replication offset accounting. size is the journal's logical length in
-	// bytes (pre-existing file + every appended line); syncedBytes is the
-	// prefix covered by a completed fsync. Both only ever land on whole-line
-	// boundaries, which is what lets the replication stream ship [from,
-	// syncedBytes) without ever cutting a record. epoch names the journal's
-	// lineage: compaction rewrites the file and bumps it, invalidating every
-	// follower offset from the previous lineage.
-	size        int64
-	syncedBytes int64
-	epoch       int64
+	// size is the file's length in bytes (pre-existing file + every appended
+	// line): the auto-compaction trigger reads it.
+	size int64
 
-	// compacting blocks appenders and the syncer while compact() rewrites
-	// the file; inFsync marks the window where the syncer has dropped the
-	// mutex for an fsync and the file handle must not be swapped.
-	compacting bool
-	inFsync    bool
+	// inFsync marks the window where the syncer has dropped the mutex for an
+	// fsync, so compact() must not swap the file handle.
+	inFsync bool
 
 	records int64 // appended records
 	bytes   int64 // appended bytes
@@ -131,10 +120,8 @@ type journal struct {
 // openJournal opens (creating if needed) the WAL for appending and starts
 // its group-commit syncer. A torn tail (the partial final line of a crashed
 // write) is truncated first: it decodes as nothing on replay anyway, and
-// dropping it keeps two invariants — the file is line-aligned from byte 0,
-// which is what lets replication ship [from, synced) without ever cutting a
-// record, and the first post-crash append can never merge with the fragment
-// into one undecodable line.
+// left in place the first post-crash append would merge with the fragment
+// into one undecodable line, losing an acknowledged record.
 func openJournal(path string) (*journal, error) {
 	if err := truncateTornTail(path); err != nil {
 		return nil, fmt.Errorf("serve: trim journal tail: %w", err)
@@ -150,8 +137,7 @@ func openJournal(path string) (*journal, error) {
 	}
 	j := &journal{
 		path: path, f: f, w: bufio.NewWriterSize(f, 64<<10),
-		size: fi.Size(), syncedBytes: fi.Size(),
-		epoch: readEpochFile(path), done: make(chan struct{}),
+		size: fi.Size(), done: make(chan struct{}),
 	}
 	j.cond = sync.NewCond(&j.mu)
 	j.want = sync.NewCond(&j.mu)
@@ -205,41 +191,6 @@ func truncateTornTail(path string) error {
 	return f.Truncate(0)
 }
 
-// epochPath is the sidecar file recording the journal's compaction epoch.
-func epochPath(journalPath string) string { return journalPath + ".epoch" }
-
-// readEpochFile loads the journal epoch; a missing or corrupt sidecar means
-// epoch 1 (a journal that has never been compacted).
-func readEpochFile(journalPath string) int64 {
-	b, err := os.ReadFile(epochPath(journalPath))
-	if err != nil {
-		return 1
-	}
-	n, err := strconv.ParseInt(strings.TrimSpace(string(b)), 10, 64)
-	if err != nil || n < 1 {
-		return 1
-	}
-	return n
-}
-
-// writeEpochFile persists the epoch sidecar atomically.
-func writeEpochFile(journalPath string, epoch int64) error {
-	dir := filepath.Dir(journalPath)
-	tmp, err := os.CreateTemp(dir, ".epoch-*")
-	if err != nil {
-		return err
-	}
-	_, werr := fmt.Fprintf(tmp, "%d\n", epoch)
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		return werr
-	}
-	return os.Rename(tmp.Name(), epochPath(journalPath))
-}
-
 // groupCommitWindow rate-limits fsyncs under sustained load: once a commit
 // has happened, the next one waits out the remainder of the window so the
 // batch behind it grows. An idle journal (no commit within the last window)
@@ -260,12 +211,9 @@ func (j *journal) syncLoop() {
 	var lastSync time.Time
 	j.mu.Lock()
 	for {
-		// Wake for durable appenders (the ack path) and, lazily, for any
-		// unsynced tail of non-durable records: replication ships only the
-		// fsync'd prefix, so the tail must reach disk once load quiesces or a
-		// follower's lag would never drain. The group-commit window below
-		// still rate-limits the fsyncs this causes.
-		for !j.dead && j.err == nil && ((j.synced >= j.wantSync && j.syncedBytes >= j.size) || j.compacting) {
+		// Wake only for durable appenders (the ack path): a non-durable record
+		// rides along with the next commit, or reaches disk at close.
+		for !j.dead && j.err == nil && j.synced >= j.wantSync {
 			j.want.Wait()
 		}
 		if j.dead || j.err != nil {
@@ -281,12 +229,8 @@ func (j *journal) syncLoop() {
 				j.mu.Unlock()
 				return
 			}
-			if j.compacting {
-				continue
-			}
 		}
 		target := j.seq
-		targetBytes := j.size
 		j.inFsync = true
 		ferr := j.w.Flush()
 		j.mu.Unlock()
@@ -309,9 +253,6 @@ func (j *journal) syncLoop() {
 		} else if target > j.synced {
 			j.synced = target
 			j.syncs++
-			if targetBytes > j.syncedBytes {
-				j.syncedBytes = targetBytes
-			}
 		}
 		j.cond.Broadcast()
 	}
@@ -330,9 +271,6 @@ func (j *journal) append(r journalRecord, durable bool) error {
 
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	for j.compacting && !j.dead && j.err == nil {
-		j.cond.Wait()
-	}
 	if j.dead || j.closed {
 		return errJournalDead
 	}
@@ -351,9 +289,6 @@ func (j *journal) append(r journalRecord, durable bool) error {
 	j.bytes += int64(len(line))
 	j.size += int64(len(line))
 	if !durable {
-		// Nudge the syncer so the record reaches the fsync'd (and therefore
-		// replicated) prefix within a commit window, without waiting on it.
-		j.want.Signal()
 		return nil
 	}
 	if mySeq > j.wantSync {
@@ -416,60 +351,41 @@ func (j *journal) close() error {
 
 // journalStats is the operator-facing view of the append side.
 type journalStats struct {
-	Records     int64
-	Bytes       int64
-	Syncs       int64
-	Size        int64 // logical file length (whole lines only)
-	SyncedBytes int64 // fsync-covered prefix length
-	Epoch       int64 // compaction lineage
+	Records int64
+	Bytes   int64
+	Syncs   int64
+	Size    int64 // current file length
 }
 
 func (j *journal) stats() journalStats {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return journalStats{
-		Records: j.records, Bytes: j.bytes, Syncs: j.syncs,
-		Size: j.size, SyncedBytes: j.syncedBytes, Epoch: j.epoch,
-	}
+	return journalStats{Records: j.records, Bytes: j.bytes, Syncs: j.syncs, Size: j.size}
 }
 
-// offsets reports the journal lineage and its fsync-covered byte prefix —
-// the pair the replication stream hands to followers. Read together under
-// the mutex so a compaction can never be observed half-applied.
-func (j *journal) offsets() (epoch, synced int64) {
+// compact rewrites the journal to live state at a safe point: it holds the
+// mutex throughout, so appenders block, and it first waits out any
+// in-flight fsync, so the syncer never syncs a swapped-out handle. The
+// rewrite itself is crash-safe: replaceFile fsyncs the new file and renames
+// it over the old one, so a crash leaves either version intact, never a
+// mix.
+func (j *journal) compact(haveResult func(hash string) bool) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.epoch, j.syncedBytes
-}
-
-// compact rewrites the journal to live state at a safe point: appenders are
-// blocked, the syncer is idle (never mid-fsync), everything buffered is on
-// disk. rewrite maps the old file's bytes to the new ones (the fold lives in
-// compactJournal; injected here so tests can pin pathological rewrites). On
-// success the epoch is bumped and persisted, which tells every replication
-// stream — whose offsets name the old lineage — to terminate and force its
-// follower through a fresh snapshot. The rewrite itself is crash-safe: the
-// new file is fsync'd and renamed over the old one, so a crash leaves either
-// lineage intact, never a mix.
-func (j *journal) compact(rewrite func(data []byte) ([]byte, error)) error {
-	j.mu.Lock()
-	for (j.compacting || j.inFsync) && !j.dead && j.err == nil {
+	for j.inFsync && !j.dead && j.err == nil {
 		j.cond.Wait()
 	}
 	if j.dead || j.closed {
-		j.mu.Unlock()
 		return errJournalDead
 	}
 	if j.err != nil {
-		defer j.mu.Unlock()
 		return j.err
 	}
-	j.compacting = true
+	// Wake everyone on the way out: durable appenders this compaction
+	// covered (or a poisoned journal failed), and the syncer.
 	defer func() {
-		j.compacting = false
 		j.cond.Broadcast()
 		j.want.Broadcast()
-		j.mu.Unlock()
 	}()
 	if ferr := j.w.Flush(); ferr != nil {
 		j.err = fmt.Errorf("serve: compact flush: %w", ferr)
@@ -479,29 +395,12 @@ func (j *journal) compact(rewrite func(data []byte) ([]byte, error)) error {
 	if err != nil {
 		return fmt.Errorf("serve: compact read: %w", err)
 	}
-	newData, err := rewrite(data)
+	newData, err := compactJournal(data, haveResult)
 	if err != nil {
 		return fmt.Errorf("serve: compact rewrite: %w", err)
 	}
-	dir := filepath.Dir(j.path)
-	tmp, err := os.CreateTemp(dir, ".journal-compact-*")
-	if err != nil {
-		return err
-	}
-	_, werr := tmp.Write(newData)
-	if werr == nil {
-		werr = tmp.Sync()
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("serve: compact write: %w", werr)
-	}
-	if err := os.Rename(tmp.Name(), j.path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("serve: compact rename: %w", err)
+	if err := replaceFile(j.path, newData); err != nil {
+		return fmt.Errorf("serve: compact write: %w", err)
 	}
 	nf, err := os.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -515,18 +414,36 @@ func (j *journal) compact(rewrite func(data []byte) ([]byte, error)) error {
 	j.f = nf
 	j.w = bufio.NewWriterSize(nf, 64<<10)
 	j.size = int64(len(newData))
-	j.syncedBytes = j.size
 	// Compaction is itself a group commit: the whole rewritten file is
 	// fsync'd, so every pending durable appender is covered.
 	if j.seq > j.synced {
 		j.synced = j.seq
 		j.syncs++
 	}
-	j.epoch++
-	if err := writeEpochFile(j.path, j.epoch); err != nil {
-		return fmt.Errorf("serve: compact epoch: %w", err)
-	}
 	return nil
+}
+
+// replaceFile atomically replaces path with data: temp file in the same
+// directory, fsync, rename.
+func replaceFile(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".journal-compact-*")
+	if err != nil {
+		return err
+	}
+	_, werr := tmp.Write(data)
+	if werr == nil {
+		werr = tmp.Sync()
+	}
+	if cerr := tmp.Close(); werr == nil {
+		werr = cerr
+	}
+	if werr == nil {
+		werr = os.Rename(tmp.Name(), path)
+	}
+	if werr != nil {
+		os.Remove(tmp.Name())
+	}
+	return werr
 }
 
 // ---- replay side ----
@@ -568,10 +485,7 @@ type quotaSnap struct {
 }
 
 // journalReplay is the result of reading a WAL: per-job folds in first-seen
-// order, per-tenant quota snapshots, plus corruption accounting. The fold is
-// incremental — the follower feeds it one shipped record at a time via
-// applyLine, boot replay feeds it the whole file — so both sides of
-// replication share one state machine by construction.
+// order, per-tenant quota snapshots, plus corruption accounting.
 type journalReplay struct {
 	jobs  map[string]*journalJob
 	order []string
@@ -601,8 +515,8 @@ func readJournal(path string) (*journalReplay, error) {
 	return replayJournal(data), nil
 }
 
-// replayJournal folds raw WAL bytes; split out for the fuzz targets and the
-// follower's snapshot apply.
+// replayJournal folds raw WAL bytes; split out for the fuzz target and for
+// compaction, which rewrites the fold.
 func replayJournal(data []byte) *journalReplay {
 	rp := newJournalReplay()
 	for _, line := range bytes.Split(data, []byte{'\n'}) {
@@ -611,37 +525,35 @@ func replayJournal(data []byte) *journalReplay {
 	return rp
 }
 
-// applyLine folds one WAL line into the replay, returning whether it was a
-// well-formed record. A malformed line (torn tail, bit rot, garbage shipped
-// by a confused peer) contributes nothing but a torn count — the invariant
-// the replication fuzz target leans on.
-func (rp *journalReplay) applyLine(line []byte) bool {
+// applyLine folds one WAL line into the replay. A malformed line (torn
+// tail, bit rot) contributes nothing but a torn count.
+func (rp *journalReplay) applyLine(line []byte) {
 	line = bytes.TrimSpace(line)
 	if len(line) == 0 {
-		return true
+		return
 	}
 	var r journalRecord
 	if err := json.Unmarshal(line, &r); err != nil || r.V != journalVersion {
 		rp.torn++
-		return false
+		return
 	}
 	switch r.Rec {
 	case recQuota:
 		if r.Tenant == "" {
 			rp.torn++
-			return false
+			return
 		}
 		rp.records++
 		rp.applyQuota(r)
-		return true
+		return
 	case recSubmitted, recStarted, recCompleted, recFailed, recCancelled:
 		if r.Job == "" {
 			rp.torn++
-			return false
+			return
 		}
 	default:
 		rp.torn++
-		return false
+		return
 	}
 	rp.records++
 	if r.Tokens != nil || r.Stored != nil {
@@ -681,7 +593,6 @@ func (rp *journalReplay) applyLine(line []byte) bool {
 	case recCancelled:
 		jj.State = recCancelled
 	}
-	return true
 }
 
 // applyQuota folds one record's quota piggyback fields. Token observations
@@ -800,40 +711,60 @@ func CompactDataDir(dir string) (before, after int64, err error) {
 		}
 		return 0, 0, err
 	}
-	haveResult := func(hash string) bool {
-		if hash == "" {
-			return false
-		}
-		_, serr := os.Stat(filepath.Join(filepath.Dir(path), resultsDirName, hash+".json"))
-		return serr == nil
+	st := &store{dir: filepath.Dir(path)}
+	newData, err := compactJournal(data, st.hasResult)
+	if err == nil {
+		err = replaceFile(path, newData)
 	}
-	newData, err := compactJournal(data, haveResult)
 	if err != nil {
 		return int64(len(data)), 0, err
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".journal-compact-*")
-	if err != nil {
-		return int64(len(data)), 0, err
-	}
-	_, werr := tmp.Write(newData)
-	if werr == nil {
-		werr = tmp.Sync()
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		return int64(len(data)), 0, werr
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return int64(len(data)), 0, err
-	}
-	if err := writeEpochFile(path, readEpochFile(path)+1); err != nil {
-		return int64(len(data)), int64(len(newData)), err
 	}
 	return int64(len(data)), int64(len(newData)), nil
+}
+
+// errNotDurable refuses a journal operation on an in-memory server.
+var errNotDurable = errors.New("serve: not durable (no DataDir)")
+
+// maybeCompact triggers an online journal compaction once the file crosses
+// Config.CompactBytes. At most one runs at a time, under s.wg so Drain and
+// Kill wait for it; jobs keep executing — only journal appends pause for the
+// rewrite window.
+func (s *Server) maybeCompact() {
+	if s.cfg.CompactBytes <= 0 || s.journal == nil {
+		return
+	}
+	if s.journal.stats().Size < s.cfg.CompactBytes {
+		return
+	}
+	if !s.compactBusy.CompareAndSwap(false, true) {
+		return
+	}
+	// Register with s.wg under s.mu, where Drain and Kill mark the server
+	// stopping, so the Add always happens before their Wait.
+	s.mu.Lock()
+	if s.draining || s.killed.Load() {
+		s.mu.Unlock()
+		s.compactBusy.Store(false)
+		return
+	}
+	s.wg.Add(1)
+	s.mu.Unlock()
+	go func() {
+		defer s.wg.Done()
+		defer s.compactBusy.Store(false)
+		if err := s.CompactJournal(); err == nil {
+			s.compactions.Add(1)
+		}
+	}()
+}
+
+// CompactJournal rewrites the live server's journal to live state at a safe
+// point (appends blocked, syncer idle).
+func (s *Server) CompactJournal() error {
+	if s.journal == nil {
+		return errNotDurable
+	}
+	return s.journal.compact(s.store.hasResult)
 }
 
 // ---- journal-dump (operator tooling) ----

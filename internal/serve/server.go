@@ -85,22 +85,10 @@ type Config struct {
 	RetryLimit   int
 	RetryBackoff time.Duration
 
-	// HeartbeatInterval paces replication-stream heartbeats (and thus how
-	// quickly followers learn the synced offset when no records flow);
-	// 0 defaults to 100ms.
-	HeartbeatInterval time.Duration
 	// CompactBytes triggers an automatic journal compaction whenever the
 	// file grows past this many bytes; 0 disables auto-compaction (the
 	// explicit CompactJournal call and the -journal-compact flag remain).
 	CompactBytes int64
-	// LeasePath enables failover-lease arbitration: Open acquires the lease
-	// (failing if a live peer holds it) and refreshes it every LeaseTTL/3;
-	// losing it (a standby stole it during a long pause) closes the channel
-	// returned by LeaseLost. LeaseTTL defaults to 2s; LeaseID names this
-	// process as the holder (default "primary").
-	LeasePath string
-	LeaseTTL  time.Duration
-	LeaseID   string
 }
 
 // Server owns the queue, the worker pool, the job registry, the caches, and
@@ -115,17 +103,10 @@ type Server struct {
 	journal *journal // nil when in-memory only
 	store   *store   // nil when in-memory only
 
-	// Replication plumbing: rep fans spilled artifacts out to live streams
-	// and holds the stream counters; compactBusy serializes automatic
-	// compactions.
-	rep         replicator
+	// compactBusy serializes automatic compactions; compactions counts the
+	// completed ones.
 	compactBusy atomic.Bool
-
-	// Failover lease (nil unless Config.LeasePath is set).
-	lease         *lease
-	leaseLost     chan struct{}
-	leaseStop     chan struct{}
-	leaseStopOnce sync.Once
+	compactions atomic.Int64
 
 	mu     sync.Mutex
 	jobs   map[string]*Job
@@ -197,80 +178,12 @@ func Open(cfg Config) (*Server, error) {
 		if err := s.recoverFromDisk(cfg.DataDir); err != nil {
 			return nil, err
 		}
-		// Spills from here on feed live replication streams. Wired after
-		// recovery so the boot-time rehydration scan does not flood the feed:
-		// artifacts that predate a follower's connection are covered by its
-		// connect-time manifest diff instead.
-		s.store.onSpill = s.rep.note
-	}
-	if cfg.LeasePath != "" {
-		l := newLease(cfg.LeasePath, cfg.LeaseTTL, s.now)
-		ok, err := l.acquire(s.leaseID())
-		if err != nil {
-			return nil, fmt.Errorf("serve: lease: %w", err)
-		}
-		if !ok {
-			rec, _ := l.read()
-			return nil, fmt.Errorf("serve: lease %s held by live holder %q; start as a follower instead", cfg.LeasePath, rec.Holder)
-		}
-		s.lease = l
-		s.leaseLost = make(chan struct{})
-		s.leaseStop = make(chan struct{})
-		s.wg.Add(1)
-		go s.leaseLoop()
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
 	}
 	return s, nil
-}
-
-func (s *Server) leaseID() string {
-	if s.cfg.LeaseID != "" {
-		return s.cfg.LeaseID
-	}
-	return "primary"
-}
-
-// leaseLoop refreshes the failover lease every ttl/3. A refresh that finds
-// another holder means a standby stole the lease during a pause longer than
-// the ttl: this process is no longer primary and must stop accepting writes
-// — signalled through LeaseLost; cmd/stencilserve drains and exits on it.
-// Transient write errors are retried at the next tick (holding the lease is
-// proven by the file's content, not by our ability to re-stamp it).
-func (s *Server) leaseLoop() {
-	defer s.wg.Done()
-	t := time.NewTicker(s.lease.ttl / 3)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.leaseStop:
-			return
-		case <-t.C:
-			ok, err := s.lease.refresh(s.leaseID())
-			if err == nil && !ok {
-				close(s.leaseLost)
-				return
-			}
-		}
-	}
-}
-
-// LeaseLost returns a channel closed when this server loses the failover
-// lease (nil when no lease is configured).
-func (s *Server) LeaseLost() <-chan struct{} { return s.leaseLost }
-
-// stopLeaseLoop ends lease refreshing; release additionally surrenders the
-// file so the standby can take over without waiting out the ttl.
-func (s *Server) stopLeaseLoop(release bool) {
-	if s.lease == nil {
-		return
-	}
-	s.leaseStopOnce.Do(func() { close(s.leaseStop) })
-	if release {
-		s.lease.release(s.leaseID())
-	}
 }
 
 // shedDepth / degradeDepth resolve the configured watermarks.
@@ -528,7 +441,6 @@ func (s *Server) Drain() {
 	s.mu.Lock()
 	s.draining = true
 	s.mu.Unlock()
-	s.stopLeaseLoop(true) // surrender the lease so a standby can promote now
 	s.queue.close()
 	s.wg.Wait()
 	if s.journal != nil {
@@ -543,10 +455,9 @@ func (s *Server) Drain() {
 // worker has exited. A fresh Open on the same DataDir must then recover
 // every acknowledged job.
 func (s *Server) Kill() {
+	s.mu.Lock() // orders the flag against maybeCompact's s.wg.Add
 	s.killed.Store(true)
-	// The lease file is deliberately NOT released: a dead primary leaves its
-	// stamp behind, and the standby steals the lease only after the ttl.
-	s.stopLeaseLoop(false)
+	s.mu.Unlock()
 	if s.journal != nil {
 		s.journal.kill()
 	}
@@ -797,12 +708,10 @@ func (s *Server) Recovery() RecoveryStats { return s.recovery }
 
 // JournalStats is the exported view of the journal's append-side counters.
 type JournalStats struct {
-	Records     int64 `json:"records"`
-	Bytes       int64 `json:"bytes"`
-	Syncs       int64 `json:"syncs"`        // group commits: fsyncs, each covering >=1 record
-	Size        int64 `json:"size"`         // current file size (bytes)
-	SyncedBytes int64 `json:"synced_bytes"` // fsync'd prefix — the replication shipping bound
-	Epoch       int64 `json:"epoch"`        // bumped by each compaction
+	Records int64 `json:"records"`
+	Bytes   int64 `json:"bytes"`
+	Syncs   int64 `json:"syncs"` // group commits: fsyncs, each covering >=1 record
+	Size    int64 `json:"size"`  // current file size (bytes)
 }
 
 // JournalStats reports the journal counters (zero when in-memory only).
@@ -811,10 +720,7 @@ func (s *Server) JournalStats() JournalStats {
 		return JournalStats{}
 	}
 	st := s.journal.stats()
-	return JournalStats{
-		Records: st.Records, Bytes: st.Bytes, Syncs: st.Syncs,
-		Size: st.Size, SyncedBytes: st.SyncedBytes, Epoch: st.Epoch,
-	}
+	return JournalStats{Records: st.Records, Bytes: st.Bytes, Syncs: st.Syncs, Size: st.Size}
 }
 
 // QueueDepth reports the number of queued jobs.
@@ -835,14 +741,6 @@ func (s *Server) QueueDepth() int { return s.queue.depth() }
 //	GET    /healthz            liveness: always 200 while the process serves
 //	GET    /readyz             readiness: 200, or 503 when draining
 //	GET    /debug/pprof/       host-side CPU/heap/goroutine profiling
-//
-// Replication (durable servers only; all are 404 without a DataDir):
-//
-//	GET    /v1/replicate/stream    NDJSON frame stream from ?from=&epoch=
-//	GET    /v1/replicate/snapshot  journal prefix + artifact manifest
-//	GET    /v1/replicate/manifest  artifact manifest (anti-entropy diff)
-//	GET    /v1/replicate/artifact/{kind}/{hash}  one artifact's bytes
-//	POST   /v1/promote             409 here (already primary); followers serve it
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -855,13 +753,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
-	if s.journal != nil {
-		mux.HandleFunc("GET /v1/replicate/stream", s.handleReplicateStream)
-		mux.HandleFunc("GET /v1/replicate/snapshot", s.handleReplicateSnapshot)
-		mux.HandleFunc("GET /v1/replicate/manifest", s.handleReplicateManifest)
-		mux.HandleFunc("GET /v1/replicate/artifact/{kind}/{hash}", s.handleReplicateArtifact)
-	}
-	mux.HandleFunc("POST /v1/promote", s.handlePromote)
 	// Admin profiling: the stdlib pprof handlers, registered explicitly so
 	// the service's mux (not http.DefaultServeMux) serves them.
 	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
@@ -1032,13 +923,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		s.tel.Gauge("stencilserve_journal_bytes").Set(float64(js.Bytes))
 		s.tel.Gauge("stencilserve_journal_group_commits").Set(float64(js.Syncs))
 		s.tel.Gauge("stencilserve_journal_size_bytes").Set(float64(js.Size))
-		s.tel.Gauge("stencilserve_journal_synced_bytes").Set(float64(js.SyncedBytes))
-		s.tel.Gauge("stencilserve_journal_epoch").Set(float64(js.Epoch))
-		s.tel.Gauge("stencilserve_replication_streams").Set(float64(s.rep.streams.Load()))
-		s.tel.Gauge("stencilserve_replication_rec_frames_total").Set(float64(s.rep.recFrames.Load()))
-		s.tel.Gauge("stencilserve_replication_artifact_frames_total").Set(float64(s.rep.artFrames.Load()))
-		s.tel.Gauge("stencilserve_replication_snapshots_total").Set(float64(s.rep.snapshots.Load()))
-		s.tel.Gauge("stencilserve_journal_compactions_total").Set(float64(s.rep.compactions.Load()))
+		s.tel.Gauge("stencilserve_journal_compactions_total").Set(float64(s.compactions.Load()))
 	}
 	if s.recovery.JournalRecords > 0 || s.recovery.Reenqueued > 0 || s.recovery.ResultsRehydrated > 0 {
 		s.tel.Gauge("stencilserve_recovery_journal_records").Set(float64(s.recovery.JournalRecords))
@@ -1059,8 +944,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // handleHealthz is liveness only: 200 whenever the process can answer,
 // including while draining — a draining server is alive, just not ready.
 // Orchestrators restart on failed liveness and de-route on failed readiness;
-// conflating them (as this endpoint once did) turns every graceful drain
-// into a kill. Role and mode ride along for humans.
+// conflating them would turn every graceful drain into a kill. The mode
+// (ok, degraded, draining) rides along for humans.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	draining := s.draining
@@ -1071,7 +956,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	} else if d := s.degradeDepth(); d > 0 && s.queue.depth() >= d {
 		mode = "degraded"
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": mode, "role": "primary"})
+	writeJSON(w, http.StatusOK, map[string]string{"status": mode})
 }
 
 // handleReadyz is the routing decision: 503 stops new traffic when draining
@@ -1085,5 +970,5 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, CodeDraining, ErrDraining)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ready", "role": "primary"})
+	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }

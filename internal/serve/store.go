@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync/atomic"
 )
@@ -51,9 +50,6 @@ type setupEnvelope struct {
 type store struct {
 	dir  string
 	dead atomic.Bool // kill(): simulate process death, drop all writes
-	// onSpill, when set, is notified after every successful artifact write —
-	// the primary's replication feed. Called outside any store lock.
-	onSpill func(kind, hash string, size int64)
 }
 
 func newStore(dir string) (*store, error) {
@@ -134,7 +130,6 @@ func (st *store) putResult(hash string, e resultEntry, tenant string, cost float
 	if err != nil {
 		return 0, err
 	}
-	st.notifySpill("result", hash, fi.Size())
 	return fi.Size() - prev, nil
 }
 
@@ -146,20 +141,7 @@ func (st *store) putSetup(hash string, assignments [][]int, cost float64) error 
 		CostSeconds: cost,
 		Assignments: assignments,
 	}
-	path := filepath.Join(st.dir, setupsDirName, hash+".json")
-	if err := st.writeAtomic(path, &env); err != nil {
-		return err
-	}
-	if fi, err := os.Stat(path); err == nil {
-		st.notifySpill("setup", hash, fi.Size())
-	}
-	return nil
-}
-
-func (st *store) notifySpill(kind, hash string, size int64) {
-	if st.onSpill != nil {
-		st.onSpill(kind, hash, size)
-	}
+	return st.writeAtomic(filepath.Join(st.dir, setupsDirName, hash+".json"), &env)
 }
 
 // loadAll streams every decodable spilled entry to the callbacks (recovery's
@@ -233,36 +215,12 @@ func (st *store) loadAll(
 	return skipped, nil
 }
 
-// ---- replication surface ----
-//
-// Followers mirror the store by artifact: the manifest lists what the
-// primary holds, raw fetch moves envelope bytes verbatim (byte-identity is
-// the whole design, so no re-encoding anywhere on the path), and putRaw
-// validates before the atomic rename so a garbage frame can never plant an
-// undecodable or mis-addressed file.
-
-// ArtifactRef names one spilled cache entry in a store manifest.
-type ArtifactRef struct {
-	Kind string `json:"kind"` // "result" or "setup"
-	Hash string `json:"hash"`
-	Size int64  `json:"size"`
-}
-
-// artifactDir maps an artifact kind to its store subdirectory.
-func artifactDir(kind string) (string, bool) {
-	switch kind {
-	case "result":
-		return resultsDirName, true
-	case "setup":
-		return setupsDirName, true
-	}
-	return "", false
-}
-
-// validHash rejects hashes that could escape the store directory or collide
-// with temp files; content hashes are lowercase hex.
-func validHash(hash string) bool {
-	if len(hash) == 0 || len(hash) > 128 {
+// hasResult reports whether a result entry for hash is spilled — what lets
+// compaction drop a completed job's spec from the journal. The hash comes
+// from journal bytes, so anything but lowercase hex (a path escape, a
+// corrupt record) reports false.
+func (st *store) hasResult(hash string) bool {
+	if hash == "" || len(hash) > 128 {
 		return false
 	}
 	for _, c := range hash {
@@ -270,101 +228,8 @@ func validHash(hash string) bool {
 			return false
 		}
 	}
-	return true
-}
-
-// manifest lists every decodably-named artifact with its size, sorted for
-// deterministic anti-entropy diffs.
-func (st *store) manifest() []ArtifactRef {
-	var out []ArtifactRef
-	for _, kind := range []string{"result", "setup"} {
-		sub, _ := artifactDir(kind)
-		ents, err := os.ReadDir(filepath.Join(st.dir, sub))
-		if err != nil {
-			continue
-		}
-		for _, de := range ents {
-			name := de.Name()
-			if de.IsDir() || !strings.HasSuffix(name, ".json") {
-				continue
-			}
-			hash := strings.TrimSuffix(name, ".json")
-			if !validHash(hash) {
-				continue
-			}
-			fi, err := de.Info()
-			if err != nil {
-				continue
-			}
-			out = append(out, ArtifactRef{Kind: kind, Hash: hash, Size: fi.Size()})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Kind != out[j].Kind {
-			return out[i].Kind < out[j].Kind
-		}
-		return out[i].Hash < out[j].Hash
-	})
-	return out
-}
-
-// readArtifact returns one artifact's raw envelope bytes.
-func (st *store) readArtifact(kind, hash string) ([]byte, error) {
-	sub, ok := artifactDir(kind)
-	if !ok || !validHash(hash) {
-		return nil, fmt.Errorf("serve: bad artifact ref %s/%s", kind, hash)
-	}
-	return os.ReadFile(filepath.Join(st.dir, sub, hash+".json"))
-}
-
-// hasArtifact reports whether the artifact exists at the given size (size<0
-// skips the size check).
-func (st *store) hasArtifact(kind, hash string, size int64) bool {
-	sub, ok := artifactDir(kind)
-	if !ok || !validHash(hash) {
-		return false
-	}
-	fi, err := os.Stat(filepath.Join(st.dir, sub, hash+".json"))
-	return err == nil && (size < 0 || fi.Size() == size)
-}
-
-// putRawArtifact writes shipped envelope bytes verbatim after validating
-// that they decode as the claimed kind and address — a torn or malicious
-// frame is rejected before it can touch the store.
-func (st *store) putRawArtifact(kind, hash string, data []byte) error {
-	sub, ok := artifactDir(kind)
-	if !ok || !validHash(hash) {
-		return fmt.Errorf("serve: bad artifact ref %s/%s", kind, hash)
-	}
-	switch kind {
-	case "result":
-		var env resultEnvelope
-		if json.Unmarshal(data, &env) != nil || env.Schema != resultStoreSchema || env.SpecHash != hash {
-			return fmt.Errorf("serve: artifact %s/%s: undecodable result envelope", kind, hash)
-		}
-	case "setup":
-		var env setupEnvelope
-		if json.Unmarshal(data, &env) != nil || env.Schema != setupStoreSchema || env.SetupHash != hash {
-			return fmt.Errorf("serve: artifact %s/%s: undecodable setup envelope", kind, hash)
-		}
-	}
-	if st.dead.Load() {
-		return errJournalDead
-	}
-	path := filepath.Join(st.dir, sub, hash+".json")
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
-	if err != nil {
-		return err
-	}
-	_, werr := tmp.Write(data)
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		return werr
-	}
-	return os.Rename(tmp.Name(), path)
+	_, err := os.Stat(filepath.Join(st.dir, resultsDirName, hash+".json"))
+	return err == nil
 }
 
 // getResult loads one spilled result entry (a completed journal record's
