@@ -121,6 +121,7 @@ type Device struct {
 	streams       []*Stream
 	slow          float64 // straggle factor; 0 means healthy (1x)
 	dead          bool    // permanently failed (fail-stop)
+	allWorkName   string  // AllWorkEvent's signal name, built once
 }
 
 // Fail marks the device permanently lost (fail-stop). Work already enqueued
@@ -188,6 +189,7 @@ func (d *Device) PeerEnabled(other *Device) bool { return d.peers[other.ID] }
 
 func (d *Device) newStream(name string) *Stream {
 	s := &Stream{dev: d, name: fmt.Sprintf("d%d.%s", d.ID, name)}
+	s.opName = s.name + ".op"
 	d.streams = append(d.streams, s)
 	return s
 }
@@ -198,12 +200,24 @@ func (d *Device) NewStream(name string) *Stream {
 	return d.newStream(name)
 }
 
-// Synchronize parks the process until every op enqueued so far on every
-// stream of the device has completed (cudaDeviceSynchronize).
-func (d *Device) Synchronize(p *sim.Proc) {
-	for _, s := range d.streams {
-		s.Synchronize(p)
+// SynchronizeThen runs next once every op enqueued so far on every stream of
+// the device has completed (cudaDeviceSynchronize, for continuation code). It
+// waits on the streams that existed at the call in order, reading each
+// stream's tail at the moment the wait on the previous one completes, and
+// runs next inline if nothing is outstanding.
+func (d *Device) SynchronizeThen(next func()) {
+	streams := d.streams
+	var from func(i int)
+	from = func(i int) {
+		for ; i < len(streams); i++ {
+			if t := streams[i].tail; t != nil && !t.Fired() {
+				t.Then(func() { from(i + 1) })
+				return
+			}
+		}
+		next()
 	}
+	from(0)
 }
 
 // Malloc allocates a device buffer. Backing bytes are allocated only in
@@ -272,9 +286,10 @@ func (rt *Runtime) IpcOpenMemHandle(p *sim.Proc, h IpcMemHandle) *Buffer {
 
 // Stream is an in-order asynchronous operation queue on one device.
 type Stream struct {
-	dev  *Device
-	name string
-	tail *sim.Signal // completion of the most recently enqueued op
+	dev    *Device
+	name   string
+	opName string      // op completion signal name, built once
+	tail   *sim.Signal // completion of the most recently enqueued op
 }
 
 // Name returns the stream's debug name.
@@ -287,7 +302,7 @@ func (s *Stream) Device() *Device { return s.dev }
 // dependencies have completed. start must eventually fire done.
 func (s *Stream) enqueue(start func(done *sim.Signal), deps ...*sim.Signal) *sim.Signal {
 	eng := s.dev.rt.M.Eng
-	done := sim.NewSignal(eng, s.name+".op")
+	done := sim.NewSignal(eng, s.opName)
 	all := make([]*sim.Signal, 0, len(deps)+1)
 	if s.tail != nil && !s.tail.Fired() {
 		all = append(all, s.tail)
@@ -333,7 +348,10 @@ func (d *Device) Streams() []*Stream { return d.streams }
 // stream's device-wide synchronization behaviour.
 func (d *Device) AllWorkEvent() *sim.Signal {
 	eng := d.rt.M.Eng
-	ev := sim.NewSignal(eng, fmt.Sprintf("d%d.allwork", d.ID))
+	if d.allWorkName == "" {
+		d.allWorkName = fmt.Sprintf("d%d.allwork", d.ID)
+	}
+	ev := sim.NewSignal(eng, d.allWorkName)
 	pending := 0
 	for _, s := range d.streams {
 		if s.tail != nil && !s.tail.Fired() {

@@ -260,9 +260,8 @@ func TestDeviceSynchronizeCoversAllStreams(t *testing.T) {
 	s1.Kernel("k1", 230e6, 46*machine.GB, nil) // 5 ms
 	s2.Kernel("k2", 460e6, 46*machine.GB, nil) // 10 ms
 	var resumed sim.Time
-	e.Spawn("host", func(p *sim.Proc) {
-		d.Synchronize(p)
-		resumed = p.Now()
+	e.Go(func() {
+		d.SynchronizeThen(func() { resumed = e.Now() })
 	})
 	e.Run()
 	if resumed < 0.0099 {

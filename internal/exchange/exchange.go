@@ -862,8 +862,8 @@ func (e *Exchanger) groupStateOf(g *msgGroup, iter int) *groupState {
 	}
 	gs := &groupState{
 		remaining: len(g.plans),
-		sendDone:  sim.NewSignal(e.Eng, fmt.Sprintf("grp%d.i%d.send", g.id, iter)),
-		recvDone:  sim.NewSignal(e.Eng, fmt.Sprintf("grp%d.i%d.recv", g.id, iter)),
+		sendDone:  sim.NewSignal(e.Eng, "exchange.group.send"),
+		recvDone:  sim.NewSignal(e.Eng, "exchange.group.recv"),
 	}
 	e.groupStates[k] = gs
 	return gs
@@ -912,7 +912,7 @@ func (e *Exchanger) slot(plan, iter int) *sim.Signal {
 	if s, ok := e.slots[k]; ok {
 		return s
 	}
-	s := sim.NewSignal(e.Eng, fmt.Sprintf("slot.p%d.i%d", plan, iter))
+	s := sim.NewSignal(e.Eng, "exchange.slot")
 	e.slots[k] = s
 	return s
 }

@@ -98,10 +98,8 @@ func (e *Exchanger) overlapState(iter int) *overlapIterState {
 		pump = &verifyPump{e: e, st: st}
 	}
 	for _, pl := range e.Plans {
-		st.arrival[pl.ID] = sim.NewFanin(e.Eng,
-			fmt.Sprintf("arr.p%d.i%d", pl.ID, iter), machineCount(pl))
-		st.verified[pl.ID] = sim.NewSignal(e.Eng,
-			fmt.Sprintf("ver.p%d.i%d", pl.ID, iter))
+		st.arrival[pl.ID] = sim.NewFanin(e.Eng, "overlap.arrival", machineCount(pl))
+		st.verified[pl.ID] = sim.NewSignal(e.Eng, "overlap.verified")
 	}
 	// A subdomain's border compute reads its halos (filled by Dst plans) and
 	// overwrites its send regions (read by Src plans, including verification
@@ -114,11 +112,9 @@ func (e *Exchanger) overlapState(iter int) *overlapIterState {
 		}
 	}
 	for _, s := range e.Subs {
-		st.ready[s] = sim.NewFanin(e.Eng,
-			fmt.Sprintf("ready.%v.i%d", s.Global, iter), counts[s])
+		st.ready[s] = sim.NewFanin(e.Eng, "overlap.ready", counts[s])
 	}
-	st.allVerified = sim.NewFanin(e.Eng,
-		fmt.Sprintf("verified.i%d", iter), len(e.Plans))
+	st.allVerified = sim.NewFanin(e.Eng, "overlap.allverified", len(e.Plans))
 	for _, pl := range e.Plans {
 		pl := pl
 		ver := st.verified[pl.ID]
@@ -153,7 +149,7 @@ func (st *overlapIterState) acceptedOf(e *Exchanger, pl *Plan) *sim.Signal {
 	if s, ok := st.accepted[pl.ID]; ok {
 		return s
 	}
-	s := sim.NewSignal(e.Eng, fmt.Sprintf("acc.p%d.i%d", pl.ID, st.iter))
+	s := sim.NewSignal(e.Eng, "overlap.accepted")
 	st.accepted[pl.ID] = s
 	return s
 }

@@ -694,10 +694,3 @@ func (n *Network) applyRate(f *Flow, rate float64) {
 		f.completion = n.eng.After(eta, func() { n.finish(f) })
 	}
 }
-
-// Transfer is a convenience for process code: start a flow and park until it
-// completes.
-func (n *Network) Transfer(p *sim.Proc, name string, path []*Link, bytes float64) {
-	f := n.StartFlow(name, path, bytes)
-	f.Done().Wait(p)
-}

@@ -152,7 +152,7 @@ func TestTransferBlocksProcess(t *testing.T) {
 	l := NewLink("l", 100)
 	var done sim.Time
 	e.Spawn("xfer", func(p *sim.Proc) {
-		n.Transfer(p, "t", []*Link{l}, 500)
+		n.StartFlow("t", []*Link{l}, 500).Done().Wait(p)
 		done = p.Now()
 	})
 	e.Run()

@@ -281,7 +281,7 @@ func (r *Rank) Isend(dst, tag int, buf *cudart.Buffer, off, bytes int64) *Reques
 	r.checkDeactivated(dst)
 	r.checkBuf(buf)
 	req := &Request{
-		done:   sim.NewSignal(r.world.M.Eng, fmt.Sprintf("send %d->%d tag %d", r.ID, dst, tag)),
+		done:   sim.NewSignal(r.world.M.Eng, "mpi.send"),
 		rank:   r,
 		buf:    buf,
 		off:    off,
@@ -307,7 +307,7 @@ func (r *Rank) Irecv(src, tag int, buf *cudart.Buffer, off, bytes int64) *Reques
 	r.checkDeactivated(src)
 	r.checkBuf(buf)
 	req := &Request{
-		done:  sim.NewSignal(r.world.M.Eng, fmt.Sprintf("recv %d<-%d tag %d", r.ID, src, tag)),
+		done:  sim.NewSignal(r.world.M.Eng, "mpi.recv"),
 		rank:  r,
 		buf:   buf,
 		off:   off,
@@ -330,8 +330,9 @@ func (r *Rank) Irecv(src, tag int, buf *cudart.Buffer, off, bytes int64) *Reques
 // shared-memory receives and per-message CPU work wait it out. The pause is
 // asynchronous; it queues FIFO behind in-flight progress work.
 func (r *Rank) PauseProgress(d sim.Time) {
-	r.world.M.Eng.Spawn(fmt.Sprintf("rank%d.pause", r.ID), func(p *sim.Proc) {
-		r.progress.Use(p, func() { p.Sleep(d) })
+	eng := r.world.M.Eng
+	eng.Go(func() {
+		r.progress.AcquireThen(func() { eng.SleepThen(d, r.progress.Release) })
 	})
 }
 
@@ -372,7 +373,10 @@ func (w *World) transfer(send, recv *Request) {
 		w.cudaAwareTransfer(send, recv)
 		return
 	}
-	w.hostTransfer(send, recv)
+	w.hostTransfer(send, recv, 0, nil, func() {
+		send.done.Fire()
+		recv.done.Fire()
+	})
 }
 
 // startFlowRetry starts a wire transfer under the world's timeout/retry
@@ -431,20 +435,62 @@ func (w *World) startFlowRetry(name string, path []*flownet.Link, bytes float64,
 	attempt(0)
 }
 
-// transferRetry is startFlowRetry for process code: park until the message
-// lands.
-func (w *World) transferRetry(pr *sim.Proc, name string, path []*flownet.Link, bytes float64) {
-	done := sim.NewSignal(w.M.Eng, name+".retrydone")
+// transferThen is startFlowRetry for continuation code: next runs where a
+// process that started the wire transfer and parked until it landed would
+// resume. Without retries the flow's own completion signal is the only
+// thing to wait for.
+func (w *World) transferThen(name string, path []*flownet.Link, bytes float64, next func()) {
+	if w.SendTimeout <= 0 {
+		w.M.Net.StartFlow(name, path, bytes).Done().Then(next)
+		return
+	}
+	done := sim.NewSignal(w.M.Eng, "mpi.retrydone")
 	w.startFlowRetry(name, path, bytes, done.Fire)
-	done.Wait(pr)
+	done.Then(next)
 }
 
-// hostTransfer implements the host-buffer transport.
-func (w *World) hostTransfer(send, recv *Request) {
+// hostTransfer is the host-buffer transport, shared by Isend/Irecv pairs and
+// persistent channels. It drives one message as a continuation chain with
+// the cost structure of the paper's host MPI: latency (plus a rendezvous
+// above the eager limit), then the receiving rank's serial progress engine,
+// then either a shared-memory copy that holds the progress engine for its
+// duration (intra-node) or per-message CPU work followed by the NIC wire
+// transfer, under the retry policy or the reliable-delivery envelope.
+//
+// seq is the envelope's sequence number; 0 takes the next per-pair number
+// when the envelope starts. onAccept, when non-nil, fires once the receiver
+// has committed an accepted copy; onDone fires when the message is complete
+// on both sides (under Reliable: the sender saw the ACK). Without the
+// envelope the two fire together.
+func (w *World) hostTransfer(send, recv *Request, seq uint64, onAccept, onDone func()) {
 	p := w.M.Params
+	eng := w.M.Eng
 	srcRank, dstRank := send.rank, recv.rank
 	intra := srcRank.Node == dstRank.Node
-	w.M.Eng.Spawn(fmt.Sprintf("mpi.xfer.%d-%d", srcRank.ID, dstRank.ID), func(pr *sim.Proc) {
+	name := "mpi.nic"
+	if intra {
+		name = "mpi.shm"
+	}
+	var start sim.Time
+	land := func() {
+		commitCopy(recv.buf, recv.off, send.buf, send.off, send.bytes)
+		if onAccept != nil {
+			onAccept()
+		}
+	}
+	finish := func() {
+		if w.RT != nil && w.RT.OnOp != nil {
+			// Host-side staging copies are CPU work a profiler would
+			// attribute to MPI; surface them in the op timeline too.
+			w.RT.Record(cudart.OpRecord{
+				Kind: cudart.OpMemcpyH2H, Name: name, Device: -1,
+				Stream: "host", Start: start, End: eng.Now(), Bytes: send.bytes,
+			})
+		}
+		onDone()
+	}
+	progress := dstRank.progress
+	eng.Go(func() {
 		lat := p.MPIInterLatency
 		if intra {
 			lat = p.MPIIntraLatency
@@ -452,56 +498,69 @@ func (w *World) hostTransfer(send, recv *Request) {
 		if float64(send.bytes) > p.EagerLimit {
 			lat += p.RendezvousCost
 		}
-		pr.Sleep(lat)
-		path := w.M.HostToHostPath(srcRank.Node, srcRank.Socket, dstRank.Node, dstRank.Socket)
-		start := pr.Now()
-		name := "mpi.nic"
-		if intra {
-			name = "mpi.shm"
-			// Shared-memory copy: occupies the receiving rank's progress
-			// engine for the duration of the copy, at the rate of one core's
-			// copy loop.
-			dstRank.progress.Acquire(pr)
-			w.M.Net.Transfer(pr, "mpi.shm", append(path, dstRank.copyEngine), float64(send.bytes))
-			dstRank.progress.Release()
-			commitCopy(recv.buf, recv.off, send.buf, send.off, send.bytes)
-		} else if w.Reliable {
-			// NIC DMA under the reliable-delivery envelope: the payload is
-			// committed (possibly more than once, possibly corrupted and then
-			// overwritten) at each delivery inside the envelope; the proc
-			// parks until the sender sees the ACK.
-			dstRank.progress.Use(pr, func() { pr.Sleep(p.MPIIntraLatency) })
-			rev := w.M.HostToHostPath(dstRank.Node, dstRank.Socket, srcRank.Node, srcRank.Socket)
-			w.reliableTransfer(pr, "mpi.nic", path, rev, send, recv, func(corrupt bool, key uint64) {
-				commitCopy(recv.buf, recv.off, send.buf, send.off, send.bytes)
-				if corrupt {
-					corruptPayload(recv.buf, recv.off, send.bytes, key)
-				}
-			})
-		} else {
+		eng.SleepThen(lat, func() {
+			path := w.M.HostToHostPath(srcRank.Node, srcRank.Socket, dstRank.Node, dstRank.Socket)
+			start = eng.Now()
+			if intra {
+				// Shared-memory copy: occupies the receiving rank's progress
+				// engine for the duration of the copy, at the rate of one
+				// core's copy loop.
+				progress.AcquireThen(func() {
+					f := w.M.Net.StartFlow(name, append(path, dstRank.copyEngine), float64(send.bytes))
+					f.Done().Then(func() {
+						progress.Release()
+						land()
+						finish()
+					})
+				})
+				return
+			}
 			// NIC DMA: the progress engine is held only for per-message CPU
 			// work; the wire transfer proceeds without it.
-			dstRank.progress.Use(pr, func() { pr.Sleep(p.MPIIntraLatency) })
-			w.transferRetry(pr, "mpi.nic", path, float64(send.bytes))
-			commitCopy(recv.buf, recv.off, send.buf, send.off, send.bytes)
-		}
-		if w.RT != nil && w.RT.OnOp != nil {
-			// Host-side staging copies are CPU work a profiler would
-			// attribute to MPI; surface them in the op timeline too.
-			w.RT.Record(cudart.OpRecord{
-				Kind: cudart.OpMemcpyH2H, Name: name, Device: -1,
-				Stream: "host", Start: start, End: pr.Now(), Bytes: send.bytes,
+			progress.AcquireThen(func() {
+				eng.SleepThen(p.MPIIntraLatency, func() {
+					progress.Release()
+					if !w.Reliable {
+						w.transferThen(name, path, float64(send.bytes), func() {
+							land()
+							finish()
+						})
+						return
+					}
+					// Under the reliable-delivery envelope the payload is
+					// committed (possibly more than once, possibly corrupted
+					// and then overwritten) at each delivery; the chain
+					// resumes when the sender sees the ACK. The landed-
+					// checksum self-check is possible because the commit is
+					// synchronous.
+					rev := w.M.HostToHostPath(dstRank.Node, dstRank.Socket, srcRank.Node, srcRank.Socket)
+					var check func() uint64
+					if data := recv.buf.Data(); data != nil {
+						check = func() uint64 { return fnvSum(data[recv.off : recv.off+recv.bytes]) }
+					}
+					s := seq
+					if s == 0 {
+						s = w.nextSeq(srcRank.ID, dstRank.ID)
+					}
+					acked := sim.NewSignal(eng, "mpi.reliable")
+					w.reliableSendSeq(name, path, rev, send, recv, s, func(corrupt bool, key uint64) {
+						commitCopy(recv.buf, recv.off, send.buf, send.off, send.bytes)
+						if corrupt {
+							corruptPayload(recv.buf, recv.off, send.bytes, key)
+						}
+					}, check, onAccept, acked.Fire)
+					acked.Then(finish)
+				})
 			})
-		}
-		send.done.Fire()
-		recv.done.Fire()
+		})
 	})
 }
 
 // cudaAwareTransfer implements the device-buffer transport with the paper's
 // observed pathologies: per-message handle exchange, internal copies on the
 // legacy default stream (device-wide serialization), chunked pipelining with
-// per-chunk issue cost, and a device synchronization per message.
+// per-chunk issue cost, and a device synchronization per message. Like the
+// host transport it runs as a continuation chain.
 func (w *World) cudaAwareTransfer(send, recv *Request) {
 	p := w.M.Params
 	sdev, ddev := send.buf.Device(), recv.buf.Device()
@@ -511,7 +570,7 @@ func (w *World) cudaAwareTransfer(send, recv *Request) {
 	srcRank, dstRank := send.rank, recv.rank
 	intra := srcRank.Node == dstRank.Node
 	eng := w.M.Eng
-	eng.Spawn(fmt.Sprintf("mpi.ca.%d-%d", srcRank.ID, dstRank.ID), func(pr *sim.Proc) {
+	eng.Go(func() {
 		lat := p.MPIInterLatency
 		if intra {
 			lat = p.MPIIntraLatency
@@ -522,53 +581,56 @@ func (w *World) cudaAwareTransfer(send, recv *Request) {
 		// Per-message buffer registration / IPC handle exchange, every time
 		// (the paper's COLOCATEDMEMCPY wins precisely because it does this
 		// once at setup).
-		pr.Sleep(lat + p.CudaAwarePerMsg)
+		eng.SleepThen(lat+p.CudaAwarePerMsg, func() {
+			path := w.M.DevToDevRemotePath(sdev.Node, sdev.Local, ddev.Node, ddev.Local)
+			chunks := int64(math.Ceil(float64(send.bytes) / p.CudaAwareChunk))
+			if chunks < 1 {
+				chunks = 1
+			}
+			issue := sim.Time(float64(chunks)) * p.CudaAwareChunkCost
 
-		path := w.M.DevToDevRemotePath(sdev.Node, sdev.Local, ddev.Node, ddev.Local)
-		chunks := int64(math.Ceil(float64(send.bytes) / p.CudaAwareChunk))
-		if chunks < 1 {
-			chunks = 1
-		}
-		issue := sim.Time(float64(chunks)) * p.CudaAwareChunkCost
-
-		// Legacy default stream semantics: the internal copy cannot begin
-		// until all currently enqueued work on the sending device has
-		// drained, and it serializes against the device's other CUDA-aware
-		// messages via the default stream.
-		deps := []*sim.Signal{sdev.AllWorkEvent()}
-		copyDone := sdev.DefaultStream().Enqueue(func(done *sim.Signal) {
-			eng.After(issue, func() {
-				// Pure payload: run the byte copy on the deferred executor
-				// under both devices' keys; completion signals and protocol
-				// decisions stay in event context.
-				commit := func(corrupt bool, key uint64) {
-					eng.Defer(func() {
-						commitCopy(recv.buf, recv.off, send.buf, send.off, send.bytes)
-						if corrupt {
-							corruptPayload(recv.buf, recv.off, send.bytes, key)
-						}
-					}, int32(sdev.ID), int32(ddev.ID))
-				}
-				if w.Reliable && !intra {
-					rev := w.M.DevToDevRemotePath(ddev.Node, ddev.Local, sdev.Node, sdev.Local)
-					w.reliableSend("mpi.ca", path, rev, send, recv, commit, nil, done.Fire)
-				} else {
-					w.startFlowRetry("mpi.ca", path, float64(send.bytes), func() {
-						commit(false, 0)
-						done.Fire()
+			// Legacy default stream semantics: the internal copy cannot
+			// begin until all currently enqueued work on the sending device
+			// has drained, and it serializes against the device's other
+			// CUDA-aware messages via the default stream.
+			copyDone := sdev.DefaultStream().Enqueue(func(done *sim.Signal) {
+				eng.After(issue, func() {
+					// Pure payload: run the byte copy on the deferred
+					// executor under both devices' keys; completion signals
+					// and protocol decisions stay in event context.
+					commit := func(corrupt bool, key uint64) {
+						eng.Defer(func() {
+							commitCopy(recv.buf, recv.off, send.buf, send.off, send.bytes)
+							if corrupt {
+								corruptPayload(recv.buf, recv.off, send.bytes, key)
+							}
+						}, int32(sdev.ID), int32(ddev.ID))
+					}
+					if w.Reliable && !intra {
+						rev := w.M.DevToDevRemotePath(ddev.Node, ddev.Local, sdev.Node, sdev.Local)
+						w.reliableSend("mpi.ca", path, rev, send, recv, commit, nil, done.Fire)
+					} else {
+						w.startFlowRetry("mpi.ca", path, float64(send.bytes), func() {
+							commit(false, 0)
+							done.Fire()
+						})
+					}
+				})
+			}, sdev.AllWorkEvent())
+			// The destination's default stream observes the arrival, then
+			// both sides pay a device-wide synchronization, source first.
+			ddev.DefaultStream().WaitEvent(copyDone)
+			copyDone.Then(func() {
+				eng.SleepThen(p.CudaAwareSyncCost, func() {
+					sdev.SynchronizeThen(func() {
+						ddev.SynchronizeThen(func() {
+							send.done.Fire()
+							recv.done.Fire()
+						})
 					})
-				}
+				})
 			})
-		}, deps...)
-		// The destination's default stream observes the arrival, then both
-		// sides pay a device-wide synchronization.
-		ddev.DefaultStream().WaitEvent(copyDone)
-		copyDone.Wait(pr)
-		pr.Sleep(p.CudaAwareSyncCost)
-		sdev.Synchronize(pr)
-		ddev.Synchronize(pr)
-		send.done.Fire()
-		recv.done.Fire()
+		})
 	})
 }
 

@@ -27,12 +27,7 @@
 // the receiver at acceptance and let the ACK tail drain in the background.
 package mpi
 
-import (
-	"fmt"
-
-	"github.com/nodeaware/stencil/internal/cudart"
-	"github.com/nodeaware/stencil/internal/sim"
-)
+import "github.com/nodeaware/stencil/internal/cudart"
 
 type chanKey struct {
 	src, dst, tag int
@@ -68,69 +63,18 @@ func (w *World) OpenChannel(src, dst *Rank, tag int) *Channel {
 func (c *Channel) Seq() uint64 { return (uint64(c.tag+1) << 32) | (c.counter + 1) }
 
 // Start drives one message of the channel: bytes from sendBuf[sendOff:] into
-// recvBuf[recvOff:]. It mirrors the host transport's cost structure —
-// latency, rendezvous, the receiver's progress engine, the NIC or
-// shared-memory path — but reports completion in two stages: onAccept fires
-// in event context when the receiver has committed an accepted copy, onDone
-// when the sender side is fully done (inter-node under Reliable: the ACK
-// arrived; otherwise both fire together). Both callbacks are required.
+// recvBuf[recvOff:], over the host transport Isend/Irecv pairs use (see
+// hostTransfer) under the channel's own sequence number. It reports
+// completion in two stages: onAccept fires in event context when the
+// receiver has committed an accepted copy, onDone when the sender side is
+// fully done (inter-node under Reliable: the ACK arrived; otherwise both fire
+// together). Both callbacks are required.
 func (c *Channel) Start(sendBuf *cudart.Buffer, sendOff int64, recvBuf *cudart.Buffer, recvOff, bytes int64,
 	onAccept, onDone func()) {
-	w := c.w
 	c.src.checkDeactivated(c.dst.ID)
 	c.counter++
 	seq := (uint64(c.tag+1) << 32) | c.counter
-	p := w.M.Params
-	srcRank, dstRank := c.src, c.dst
-	intra := srcRank.Node == dstRank.Node
-	send := &Request{rank: srcRank, buf: sendBuf, off: sendOff, bytes: bytes, tag: c.tag, isSend: true}
-	recv := &Request{rank: dstRank, buf: recvBuf, off: recvOff, bytes: bytes, tag: c.tag}
-	w.M.Eng.Spawn(fmt.Sprintf("mpi.chan.%d-%d", srcRank.ID, dstRank.ID), func(pr *sim.Proc) {
-		lat := p.MPIInterLatency
-		if intra {
-			lat = p.MPIIntraLatency
-		}
-		if float64(bytes) > p.EagerLimit {
-			lat += p.RendezvousCost
-		}
-		pr.Sleep(lat)
-		path := w.M.HostToHostPath(srcRank.Node, srcRank.Socket, dstRank.Node, dstRank.Socket)
-		start := pr.Now()
-		name := "mpi.nic"
-		if intra {
-			name = "mpi.shm"
-			dstRank.progress.Acquire(pr)
-			w.M.Net.Transfer(pr, "mpi.shm", append(path, dstRank.copyEngine), float64(bytes))
-			dstRank.progress.Release()
-			commitCopy(recvBuf, recvOff, sendBuf, sendOff, bytes)
-			onAccept()
-		} else if w.Reliable {
-			dstRank.progress.Use(pr, func() { pr.Sleep(p.MPIIntraLatency) })
-			rev := w.M.HostToHostPath(dstRank.Node, dstRank.Socket, srcRank.Node, srcRank.Socket)
-			done := sim.NewSignal(w.M.Eng, name+".chan")
-			var check func() uint64
-			if recvBuf.Data() != nil {
-				check = func() uint64 { return fnvSum(recvBuf.Data()[recvOff : recvOff+bytes]) }
-			}
-			w.reliableSendSeq(name, path, rev, send, recv, seq, func(corrupt bool, key uint64) {
-				commitCopy(recvBuf, recvOff, sendBuf, sendOff, bytes)
-				if corrupt {
-					corruptPayload(recvBuf, recvOff, bytes, key)
-				}
-			}, check, onAccept, done.Fire)
-			done.Wait(pr)
-		} else {
-			dstRank.progress.Use(pr, func() { pr.Sleep(p.MPIIntraLatency) })
-			w.transferRetry(pr, name, path, float64(bytes))
-			commitCopy(recvBuf, recvOff, sendBuf, sendOff, bytes)
-			onAccept()
-		}
-		if w.RT != nil && w.RT.OnOp != nil {
-			w.RT.Record(cudart.OpRecord{
-				Kind: cudart.OpMemcpyH2H, Name: name, Device: -1,
-				Stream: "host", Start: start, End: pr.Now(), Bytes: bytes,
-			})
-		}
-		onDone()
-	})
+	send := &Request{rank: c.src, buf: sendBuf, off: sendOff, bytes: bytes, tag: c.tag, isSend: true}
+	recv := &Request{rank: c.dst, buf: recvBuf, off: recvOff, bytes: bytes, tag: c.tag}
+	c.w.hostTransfer(send, recv, seq, onAccept, onDone)
 }

@@ -130,19 +130,25 @@ func corruptPayload(buf *cudart.Buffer, off, n int64, key uint64) {
 	}
 }
 
-// reliableSend drives one inter-node message through the envelope. commit is
-// invoked in event context at each delivery with the corruption verdict and
-// a per-delivery corruption key; onDone fires exactly once, when the sender
-// completes (ACK received). check, when non-nil, recomputes the landed
-// payload checksum for the post-commit integrity self-checks.
+// reliableSend drives one inter-node message through the envelope under the
+// pair's next sequence number. commit is invoked in event context at each
+// delivery with the corruption verdict and a per-delivery corruption key;
+// onDone fires exactly once, when the sender completes (ACK received).
+// check, when non-nil, recomputes the landed payload checksum for the
+// post-commit integrity self-checks.
 func (w *World) reliableSend(name string, fwd, rev []*flownet.Link, send, recv *Request,
 	commit func(corrupt bool, key uint64), check func() uint64, onDone func()) {
+	w.reliableSendSeq(name, fwd, rev, send, recv, w.nextSeq(send.rank.ID, recv.rank.ID), commit, check, nil, onDone)
+}
+
+// nextSeq consumes the next per-(src, dst) envelope sequence number.
+func (w *World) nextSeq(src, dst int) uint64 {
 	if w.seqs == nil {
 		w.seqs = make(map[[2]int]uint64)
 	}
-	pair := [2]int{send.rank.ID, recv.rank.ID}
+	pair := [2]int{src, dst}
 	w.seqs[pair]++
-	w.reliableSendSeq(name, fwd, rev, send, recv, w.seqs[pair], commit, check, nil, onDone)
+	return w.seqs[pair]
 }
 
 // reliableSendSeq is reliableSend with an explicit sequence number and an
@@ -209,22 +215,6 @@ func (w *World) reliableSendSeq(name string, fwd, rev []*flownet.Link, send, rec
 // estimate keeps the report deterministic and cheap; the interesting signal
 // is the count, which is exact.
 const envelopeStateBytes = 256
-
-// reliableTransfer is reliableSend for process code: park until the sender
-// completes. The landed-checksum self-check is only possible here, where the
-// commit is synchronous.
-func (w *World) reliableTransfer(pr *sim.Proc, name string, fwd, rev []*flownet.Link,
-	send, recv *Request, commit func(corrupt bool, key uint64)) {
-	done := sim.NewSignal(w.M.Eng, name+".reliable")
-	var check func() uint64
-	if recv.buf.Data() != nil {
-		check = func() uint64 {
-			return fnvSum(recv.buf.Data()[recv.off : recv.off+recv.bytes])
-		}
-	}
-	w.reliableSend(name, fwd, rev, send, recv, commit, check, done.Fire)
-	done.Wait(pr)
-}
 
 // expBackoff doubles a base duration per attempt, capped at 2^6.
 func expBackoff(base sim.Time, n int) sim.Time {

@@ -21,3 +21,20 @@ func BenchmarkProcSwitch(b *testing.B) {
 	b.ResetTimer()
 	e.Run()
 }
+
+// BenchmarkTaskSwitch is BenchmarkProcSwitch for a continuation chain: one
+// SleepThen per iteration, no goroutine handoff.
+func BenchmarkTaskSwitch(b *testing.B) {
+	e := NewEngine()
+	n := 0
+	var step func()
+	step = func() {
+		if n < b.N {
+			n++
+			e.SleepThen(1, step)
+		}
+	}
+	e.Go(step)
+	b.ResetTimer()
+	e.Run()
+}

@@ -1,19 +1,38 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
-// The kernel advances a virtual clock and executes two kinds of work:
+// The kernel advances a virtual clock and executes three kinds of work:
 //
 //   - Events: plain callbacks scheduled at a virtual time (Engine.At,
 //     Engine.After). Events may be cancelled before they fire.
 //   - Processes: goroutines that execute simulated "blocking" code
-//     (Proc.Sleep, Signal.Wait, Resource.Acquire). Exactly one process or
-//     event callback runs at any real instant, so simulated code needs no
-//     locking and runs are fully deterministic.
+//     (Proc.Sleep, Signal.Wait, Resource.Acquire). Suited to long-lived
+//     actors such as MPI ranks, whose control flow is a loop.
+//   - Continuations: plain closures that model short-lived activities (one
+//     message transfer) as a chain of steps without a goroutine or stack
+//     (Engine.Go, Engine.SleepThen, Signal.Then, Resource.AcquireThen).
+//
+// Exactly one process, continuation or event callback runs at any real
+// instant, so simulated code needs no locking and runs are fully
+// deterministic.
 //
 // The scheduling discipline is cooperative: the engine resumes a runnable
 // process, the process runs until it parks on a simulated primitive, and
-// control returns to the engine. When no process is runnable the engine pops
-// the earliest pending event, advances the clock to it, and fires it. Ties in
-// time are broken by insertion order (FIFO), which keeps runs reproducible.
+// control returns to the engine. When no process or continuation is
+// runnable the engine pops the earliest pending event, advances the clock to
+// it, and fires it. Ties in time are broken by insertion order (FIFO), which
+// keeps runs reproducible.
+//
+// Processes and continuations share one FIFO ready queue, and every
+// continuation primitive mirrors a process primitive slot for slot: Go
+// queues where Spawn queues the new process, SleepThen consumes the one
+// event sequence number Sleep consumes and queues where Sleep's wakeup
+// resumes, Then joins the same waiter list as Wait (running inline when the
+// signal has fired, as Wait returns at once), and AcquireThen joins the same
+// FIFO admission queue as Acquire. A continuation chain that replaces a
+// process therefore runs each step in exactly the ready-queue slot where the
+// process would have resumed, and the event order, sequence numbers and
+// virtual times of a run do not depend on which of the two forms models an
+// activity.
 package sim
 
 import (
@@ -30,7 +49,8 @@ type Event struct {
 	seq       uint64
 	fn        func()
 	cancelled bool
-	index     int // position in the heap, -1 once popped
+	queue     bool // SleepThen: fn is a continuation to queue, not call
+	index     int  // position in the heap, -1 once popped
 	eng       *Engine
 }
 
@@ -158,17 +178,24 @@ func (h eventHeap) fix(i int) {
 	h.siftUp(i)
 }
 
-// Engine owns the virtual clock, the pending-event queue, and the set of
-// runnable processes. An Engine is not safe for concurrent use from multiple
-// goroutines other than through the Proc primitives it hands out.
+// Engine owns the virtual clock, the pending-event queue, and the ready
+// queue of runnable processes and continuations. An Engine is not safe for
+// concurrent use from multiple goroutines other than through the Proc
+// primitives it hands out.
 type Engine struct {
-	now      Time
-	seq      uint64
-	queue    eventHeap
-	runnable []*Proc
+	now   Time
+	seq   uint64
+	queue eventHeap
+	// runnable is the FIFO ready queue of processes and continuations; Run
+	// drains it from head and resets both when it empties, so a steady
+	// state reuses one backing array.
+	runnable []task
+	head     int
 	parked   chan *Proc // handoff channel: a proc announces it has parked or exited
 	running  bool
-	nprocs   int // live (spawned, not yet exited) processes
+	nprocs   int      // live (spawned, not yet exited) processes
+	waiting  int      // continuations parked in a signal's waiters or a resource queue
+	freeEv   []*Event // fired SleepThen events, reused by later SleepThens
 	trace    func(t Time, msg string)
 
 	// Flushers run after all work at the current instant has drained, just
@@ -189,9 +216,9 @@ type Engine struct {
 // simulated run — all mutations happen in engine event context — so counts
 // are bit-identical across reruns and payload worker counts.
 type Counts struct {
-	Scheduled uint64 // events scheduled or rescheduled (At, After, Reschedule, Sleep)
+	Scheduled uint64 // events scheduled or rescheduled (At, After, Reschedule, Sleep, SleepThen)
 	Executed  uint64 // event callbacks fired
-	Spawned   uint64 // processes spawned
+	Spawned   uint64 // goroutine processes spawned (Spawn); continuations are not counted
 	PeakQueue int    // high-water mark of the pending-event queue
 }
 
@@ -294,8 +321,8 @@ func (e *Engine) Reschedule(ev *Event, d Time) {
 	}
 }
 
-// Run drives the simulation until no runnable processes remain and the event
-// queue is empty, then returns the final virtual time. Processes that are
+// Run drives the simulation until nothing is runnable and the event queue
+// is empty, then returns the final virtual time. Processes or continuations
 // still parked at that point are deadlocked; Run panics to surface the bug
 // rather than returning silently wrong results.
 func (e *Engine) Run() Time {
@@ -306,14 +333,21 @@ func (e *Engine) Run() Time {
 	defer func() { e.running = false }()
 
 	for {
-		// Drain runnable processes first: events at the current time have
-		// already fired, and woken processes should observe that state.
-		for len(e.runnable) > 0 {
-			p := e.runnable[0]
-			e.runnable = e.runnable[1:]
-			p.resume <- struct{}{}
-			<-e.parked // p has parked again or exited
+		// Drain the ready queue first: events at the current time have
+		// already fired, and woken work should observe that state.
+		for e.head < len(e.runnable) {
+			t := e.runnable[e.head]
+			e.runnable[e.head] = task{}
+			e.head++
+			if t.p != nil {
+				t.p.resume <- struct{}{}
+				<-e.parked // p has parked again or exited
+			} else {
+				t.fn()
+			}
 		}
+		e.runnable = e.runnable[:0]
+		e.head = 0
 		// The instant is drained when no event remains at the current time;
 		// give flushers a chance before advancing the clock or exiting.
 		if len(e.queue) == 0 || e.queue[0].when > e.now {
@@ -333,12 +367,26 @@ func (e *Engine) Run() Time {
 		}
 		e.now = ev.when
 		e.counts.Executed++
+		if ev.queue {
+			e.runnable = append(e.runnable, task{fn: ev.fn})
+			ev.fn = nil
+			e.freeEv = append(e.freeEv, ev)
+			continue
+		}
 		ev.fn()
 	}
-	if e.nprocs > 0 {
-		panic(fmt.Sprintf("sim: deadlock: %d process(es) still parked with no pending events", e.nprocs))
+	if e.nprocs > 0 || e.waiting > 0 {
+		panic(fmt.Sprintf("sim: deadlock: %d process(es) and %d continuation(s) still parked with no pending events",
+			e.nprocs, e.waiting))
 	}
 	return e.now
+}
+
+// task is one ready-queue entry: a parked process to resume, or a
+// continuation to call.
+type task struct {
+	p  *Proc
+	fn func()
 }
 
 // makeRunnable appends p to the runnable queue. Idempotence is the caller's
@@ -347,7 +395,42 @@ func (e *Engine) makeRunnable(p *Proc) {
 	if p.exited {
 		panic("sim: waking exited process " + p.name)
 	}
-	e.runnable = append(e.runnable, p)
+	e.runnable = append(e.runnable, task{p: p})
+}
+
+// wake queues a task that was parked in a waiter list or resource queue.
+func (e *Engine) wake(t task) {
+	if t.p != nil {
+		e.makeRunnable(t.p)
+		return
+	}
+	e.waiting--
+	e.runnable = append(e.runnable, t)
+}
+
+// Go queues fn to run as a continuation, in the ready-queue slot where Spawn
+// would queue a new process. Like Spawn, it never runs fn inline.
+func (e *Engine) Go(fn func()) {
+	e.runnable = append(e.runnable, task{fn: fn})
+}
+
+// SleepThen queues fn to run d seconds from now: the continuation form of
+// Proc.Sleep, scheduling one event with the same sequence number Sleep would
+// take and queueing fn where the sleeping process would resume. As for
+// Sleep, zero d is allowed and negative d panics.
+func (e *Engine) SleepThen(d Time, fn func()) {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative sleep %g", d))
+	}
+	var ev *Event
+	if n := len(e.freeEv); n > 0 {
+		ev = e.freeEv[n-1]
+		e.freeEv = e.freeEv[:n-1]
+	} else {
+		ev = &Event{eng: e, index: -1, queue: true}
+	}
+	ev.fn = fn
+	e.Reschedule(ev, d)
 }
 
 // Proc is a simulated process: a goroutine whose apparent blocking operations

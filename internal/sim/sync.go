@@ -2,16 +2,16 @@ package sim
 
 import "fmt"
 
-// Signal is a one-shot completion flag that processes can wait on and event
-// callbacks can fire. Once fired it stays fired: later Waits return
-// immediately. This matches the semantics of a CUDA event or an MPI request
-// completion.
+// Signal is a one-shot completion flag that processes and continuations can
+// wait on and event callbacks can fire. Once fired it stays fired: later
+// Waits return immediately. This matches the semantics of a CUDA event or an
+// MPI request completion.
 type Signal struct {
 	eng     *Engine
 	name    string
 	fired   bool
 	firedAt Time
-	waiters []*Proc
+	waiters []task // processes (Wait) and continuations (Then), in arrival order
 	cbs     []func()
 }
 
@@ -32,17 +32,18 @@ func (s *Signal) FiredAt() Time {
 	return s.firedAt
 }
 
-// Fire marks the signal complete, wakes all waiting processes, and runs any
-// registered callbacks. Firing twice panics: in this codebase a double fire
-// always indicates a scheduling bug.
+// Fire marks the signal complete, queues all waiting processes and
+// continuations in arrival order, and then runs any registered callbacks.
+// Firing twice panics: in this codebase a double fire always indicates a
+// scheduling bug.
 func (s *Signal) Fire() {
 	if s.fired {
 		panic("sim: signal fired twice: " + s.name)
 	}
 	s.fired = true
 	s.firedAt = s.eng.now
-	for _, p := range s.waiters {
-		s.eng.makeRunnable(p)
+	for _, t := range s.waiters {
+		s.eng.wake(t)
 	}
 	s.waiters = nil
 	cbs := s.cbs
@@ -58,8 +59,20 @@ func (s *Signal) Wait(p *Proc) {
 	if s.fired {
 		return
 	}
-	s.waiters = append(s.waiters, p)
+	s.waiters = append(s.waiters, task{p: p})
 	p.park()
+}
+
+// Then is the continuation form of Wait: fn runs inline if the signal has
+// already fired (as Wait returns at once); otherwise fn joins the waiter list
+// and Fire queues it exactly where it would queue a waiting process.
+func (s *Signal) Then(fn func()) {
+	if s.fired {
+		fn()
+		return
+	}
+	s.eng.waiting++
+	s.waiters = append(s.waiters, task{fn: fn})
 }
 
 // OnFire registers a callback to run when the signal fires (immediately if it
@@ -168,7 +181,7 @@ type Resource struct {
 	name     string
 	capacity int
 	inUse    int
-	queue    []*Proc
+	queue    []task // processes (Acquire) and continuations (AcquireThen)
 }
 
 // NewResource returns a resource with the given concurrency capacity.
@@ -186,21 +199,36 @@ func (r *Resource) Acquire(p *Proc) {
 		r.inUse++
 		return
 	}
-	r.queue = append(r.queue, p)
+	r.queue = append(r.queue, task{p: p})
 	p.park()
 	// Woken by Release, which transferred the unit to us already.
 }
 
-// Release returns a unit. If processes are queued, ownership transfers
-// directly to the head of the queue.
+// AcquireThen is the continuation form of Acquire: fn runs inline holding a
+// unit if one is free and nobody is queued; otherwise fn joins the same FIFO
+// queue as waiting processes and Release hands it the unit by queueing it.
+// fn must eventually call Release.
+func (r *Resource) AcquireThen(fn func()) {
+	if r.inUse < r.capacity && len(r.queue) == 0 {
+		r.inUse++
+		fn()
+		return
+	}
+	r.eng.waiting++
+	r.queue = append(r.queue, task{fn: fn})
+}
+
+// Release returns a unit. If processes or continuations are queued,
+// ownership transfers directly to the head of the queue.
 func (r *Resource) Release() {
 	if r.inUse <= 0 {
 		panic("sim: release of idle resource " + r.name)
 	}
 	if len(r.queue) > 0 {
-		p := r.queue[0]
+		t := r.queue[0]
+		r.queue[0] = task{}
 		r.queue = r.queue[1:]
-		r.eng.makeRunnable(p)
+		r.eng.wake(t)
 		return // unit transferred, inUse unchanged
 	}
 	r.inUse--
@@ -209,7 +237,8 @@ func (r *Resource) Release() {
 // InUse returns the number of currently held units.
 func (r *Resource) InUse() int { return r.inUse }
 
-// QueueLen returns the number of processes waiting to acquire.
+// QueueLen returns the number of processes and continuations waiting to
+// acquire.
 func (r *Resource) QueueLen() int { return len(r.queue) }
 
 // Use runs fn while holding one unit of the resource.
