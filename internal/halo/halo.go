@@ -12,9 +12,9 @@ package halo
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sync"
 
+	"github.com/nodeaware/stencil/internal/checksum"
 	"github.com/nodeaware/stencil/internal/part"
 )
 
@@ -151,13 +151,57 @@ func (d *Domain) HaloBytes(dir part.Dim3) int64 {
 	return int64(d.SendRegion(dir).Cells()) * int64(d.ElemSize) * int64(d.Quantities)
 }
 
-// forEachRow invokes fn with the byte offset and length of every contiguous
-// x-run in the region, for quantity q.
-func (d *Domain) forEachRow(reg Region, fn func(off, n int)) {
-	rowBytes := (reg.Hi.X - reg.Lo.X) * d.ElemSize
-	for z := reg.Lo.Z; z < reg.Hi.Z; z++ {
-		for y := reg.Lo.Y; y < reg.Hi.Y; y++ {
-			fn(d.offset(reg.Lo.X, y, z), rowBytes)
+// rows is a region's layout in one byte array, the walk every row kernel
+// shares: nz planes of ny contiguous x-runs of n bytes each, in Pack order
+// (z-major, then y). The first run starts at off; runs within a plane are
+// yStep bytes apart, and the first runs of consecutive planes zStep apart.
+type rows struct {
+	off, n, ny, nz int
+	yStep, zStep   int
+}
+
+// rows returns reg's layout in one quantity's allocation.
+func (d *Domain) rows(reg Region) rows {
+	yStep := d.stride.X * d.ElemSize
+	return rows{
+		off:   d.offset(reg.Lo.X, reg.Lo.Y, reg.Lo.Z),
+		n:     (reg.Hi.X - reg.Lo.X) * d.ElemSize,
+		ny:    reg.Hi.Y - reg.Lo.Y,
+		nz:    reg.Hi.Z - reg.Lo.Z,
+		yStep: yStep,
+		zStep: yStep * d.stride.Y,
+	}
+}
+
+// dense returns the layout of r's runs packed back to back from off: the
+// message buffer side of Pack and Unpack.
+func (r rows) dense(off int) rows {
+	return rows{off: off, n: r.n, ny: r.ny, nz: r.nz, yStep: r.n, zStep: r.n * r.ny}
+}
+
+// bytes returns the region's total size in one quantity.
+func (r rows) bytes() int { return r.n * r.ny * r.nz }
+
+// copyRows copies the runs of s in src, in order, onto the runs of d in dst.
+// Both layouts have the same run length and count. ±X faces of radius-2
+// single-precision domains have 8-byte runs, so those move as one word each
+// instead of through a copy call per run.
+func copyRows(dst []byte, d rows, src []byte, s rows) {
+	n := s.n
+	for z := 0; z < s.nz; z++ {
+		do, so := d.off+z*d.zStep, s.off+z*s.zStep
+		if n == 8 {
+			for y := 0; y < s.ny; y++ {
+				*(*[8]byte)(dst[do : do+8]) = *(*[8]byte)(src[so : so+8])
+				do += d.yStep
+				so += s.yStep
+			}
+			continue
+		}
+		for y := 0; y < s.ny; y++ {
+			copy(dst[do:do+n], src[so:so+n])
+			do += d.yStep
+			so += s.yStep
 		}
 	}
 }
@@ -175,15 +219,15 @@ func (d *Domain) Pack(dst []byte, dir part.Dim3) int64 {
 	if int64(len(dst)) < total {
 		panic(fmt.Sprintf("halo: pack buffer %d < message %d", len(dst), total))
 	}
-	pos := 0
-	for q := 0; q < d.Quantities; q++ {
-		src := d.data[q]
-		d.forEachRow(reg, func(off, n int) {
-			copy(dst[pos:pos+n], src[off:off+n])
-			pos += n
-		})
-	}
+	d.pack(dst, d.rows(reg))
 	return total
+}
+
+// pack writes the runs of r, quantity after quantity, back to back into dst.
+func (d *Domain) pack(dst []byte, r rows) {
+	for q, src := range d.data {
+		copyRows(dst, r.dense(q*r.bytes()), src, r)
+	}
 }
 
 // Unpack copies a dense buffer produced by the neighbor's Pack into the
@@ -197,13 +241,9 @@ func (d *Domain) Unpack(src []byte, dir part.Dim3) int64 {
 	if int64(len(src)) < total {
 		panic(fmt.Sprintf("halo: unpack buffer %d < message %d", len(src), total))
 	}
-	pos := 0
-	for q := 0; q < d.Quantities; q++ {
-		dst := d.data[q]
-		d.forEachRow(reg, func(off, n int) {
-			copy(dst[off:off+n], src[pos:pos+n])
-			pos += n
-		})
+	r := d.rows(reg)
+	for q, dst := range d.data {
+		copyRows(dst, r, src, r.dense(q*r.bytes()))
 	}
 	return total
 }
@@ -222,58 +262,51 @@ func (d *Domain) SelfExchange(dir part.Dim3) int64 {
 	if src.Cells() != dst.Cells() {
 		panic("halo: self-exchange region mismatch")
 	}
-	// Gather rows pairwise: both regions have identical per-axis extents.
-	// Row offsets are identical across quantities, so compute them once, in
-	// pooled scratch — SelfExchange runs on every KERNEL-method exchange
-	// (possibly on parallel payload workers, hence sync.Pool, not a field).
-	sc := offsetsPool.Get().(*offsetsScratch)
-	sc.src = appendRowOffsets(sc.src[:0], d, src)
-	sc.dst = appendRowOffsets(sc.dst[:0], d, dst)
-	rowBytes := (src.Hi.X - src.Lo.X) * d.ElemSize
-	for q := 0; q < d.Quantities; q++ {
-		buf := d.data[q]
-		for i := range sc.src {
-			copy(buf[sc.dst[i]:sc.dst[i]+rowBytes], buf[sc.src[i]:sc.src[i]+rowBytes])
-		}
+	// Both regions have identical per-axis extents, so their runs pair up
+	// in order.
+	sr, dr := d.rows(src), d.rows(dst)
+	for _, buf := range d.data {
+		copyRows(buf, dr, buf, sr)
 	}
-	offsetsPool.Put(sc)
 	return total
 }
 
-// offsetsScratch holds reusable row-offset slices for SelfExchange.
-type offsetsScratch struct{ src, dst []int }
-
-var offsetsPool = sync.Pool{New: func() any { return new(offsetsScratch) }}
-
-func appendRowOffsets(offs []int, d *Domain, reg Region) []int {
-	d.forEachRow(reg, func(off, _ int) { offs = append(offs, off) })
-	return offs
-}
-
-// RegionChecksum returns a 64-bit FNV-1a hash over a region's bytes (all
-// quantities, rows in region order — the order Pack serializes). A send
-// region and the matching receive region on the neighbor hash equal exactly
-// when the transfer landed intact, which is what the exchange layer's
-// end-to-end halo verification compares. Time-only domains return 0.
+// RegionChecksum returns checksum.Sum64 of the region's bytes as Pack
+// serializes them: all quantities, runs in region order. A send region and
+// the matching receive region on the neighbor hash equal exactly when the
+// transfer landed intact, which is what the exchange layer's end-to-end halo
+// verification compares. Time-only domains return 0.
 func (d *Domain) RegionChecksum(reg Region) uint64 {
 	if d.data == nil {
 		return 0
 	}
-	h := fnv.New64a()
-	for q := 0; q < d.Quantities; q++ {
-		buf := d.data[q]
-		d.forEachRow(reg, func(off, n int) { h.Write(buf[off : off+n]) })
+	// Gathering the runs first and hashing once keeps the hash on whole
+	// 32-byte stripes; hashing 8-byte runs one by one costs more than the
+	// gather. Independent engines may verify at the same time, hence a
+	// pool rather than one buffer.
+	r := d.rows(reg)
+	size := r.bytes() * len(d.data)
+	sc := scratchPool.Get().(*[]byte)
+	if cap(*sc) < size {
+		*sc = make([]byte, size)
 	}
-	return h.Sum64()
+	buf := (*sc)[:size]
+	d.pack(buf, r)
+	sum := checksum.Sum64(buf)
+	scratchPool.Put(sc)
+	return sum
 }
 
-// Fingerprint returns a 64-bit FNV-1a hash over the domain's complete backing
-// store (all quantities, interior and halo). Two domains that went through
-// byte-identical histories hash equal; the determinism regression test
-// compares sequential and parallel runs with it. Time-only domains hash their
-// geometry alone.
+// scratchPool holds RegionChecksum's gather buffers.
+var scratchPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// Fingerprint returns checksum.Sum64 over the domain's interior extent
+// followed by its complete backing store (all quantities, interior and
+// halo). Two domains that went through byte-identical histories hash equal;
+// the determinism regression test compares sequential and parallel runs with
+// it. Time-only domains hash their geometry alone.
 func (d *Domain) Fingerprint() uint64 {
-	h := fnv.New64a()
+	var h checksum.Digest
 	var dims [6]byte
 	for i, v := range []int{d.Size.X, d.Size.Y, d.Size.Z} {
 		dims[2*i] = byte(v)

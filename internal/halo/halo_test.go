@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/nodeaware/stencil/internal/checksum"
 	"github.com/nodeaware/stencil/internal/part"
 )
 
@@ -164,6 +165,49 @@ func TestSelfExchangeDiagonal(t *testing.T) {
 		if got, want := read(d, 0, 4, 4, z), enc(0, 0, z); got != want {
 			t.Fatalf("edge halo (4,4,%d) = %x, want %x", z, got, want)
 		}
+	}
+}
+
+// RegionChecksum is checksum.Sum64 of Pack's serialization, and a landed
+// receive region hashes like the send region it came from. Odd X extents
+// give Y and Z faces runs of 4 mod 8 bytes; radius 2 gives X faces the
+// 8-byte runs of the word-move kernel, radius 1 4-byte runs.
+func TestRegionChecksumMatchesPack(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, c := range []struct {
+		size   part.Dim3
+		radius int
+	}{
+		{part.Dim3{X: 5, Y: 4, Z: 3}, 1},
+		{part.Dim3{X: 7, Y: 6, Z: 5}, 2},
+	} {
+		for _, quantities := range []int{1, 3} {
+			src := NewDomain(c.size, c.radius, quantities, 4, true)
+			dst := NewDomain(c.size, c.radius, quantities, 4, true)
+			for q := 0; q < quantities; q++ {
+				fill(src, q, func(x, y, z int) uint32 { return rng.Uint32() })
+				fill(dst, q, func(x, y, z int) uint32 { return rng.Uint32() })
+			}
+			for _, dir := range part.Directions26() {
+				buf := make([]byte, src.HaloBytes(dir))
+				src.Pack(buf, dir)
+				sent := src.RegionChecksum(src.SendRegion(dir))
+				if want := checksum.Sum64(buf); sent != want {
+					t.Fatalf("%v r%d q%d dir %v: RegionChecksum %#x, Sum64 of Pack %#x",
+						c.size, c.radius, quantities, dir, sent, want)
+				}
+				neg := part.Dim3{X: -dir.X, Y: -dir.Y, Z: -dir.Z}
+				dst.Unpack(buf, neg)
+				if got := dst.RegionChecksum(dst.RecvRegion(neg)); got != sent {
+					t.Fatalf("%v r%d q%d dir %v: landed region hashes %#x, sent %#x",
+						c.size, c.radius, quantities, dir, got, sent)
+				}
+			}
+		}
+	}
+	timeOnly := NewDomain(part.Dim3{X: 5, Y: 4, Z: 3}, 1, 3, 4, false)
+	if got := timeOnly.RegionChecksum(timeOnly.SendRegion(part.Dim3{X: 1})); got != 0 {
+		t.Errorf("time-only RegionChecksum = %#x, want 0", got)
 	}
 }
 

@@ -536,7 +536,7 @@ func (w *World) hostTransfer(send, recv *Request, seq uint64, onAccept, onDone f
 					rev := w.M.HostToHostPath(dstRank.Node, dstRank.Socket, srcRank.Node, srcRank.Socket)
 					var check func() uint64
 					if data := recv.buf.Data(); data != nil {
-						check = func() uint64 { return fnvSum(data[recv.off : recv.off+recv.bytes]) }
+						check = func() uint64 { return payloadSum(data[recv.off : recv.off+recv.bytes]) }
 					}
 					s := seq
 					if s == 0 {

@@ -37,6 +37,7 @@ import (
 	"hash/fnv"
 	"math"
 
+	"github.com/nodeaware/stencil/internal/checksum"
 	"github.com/nodeaware/stencil/internal/cudart"
 	"github.com/nodeaware/stencil/internal/flownet"
 	"github.com/nodeaware/stencil/internal/sim"
@@ -56,7 +57,8 @@ type envelope struct {
 	src, dst    int
 	tag         int
 	seq         uint64
-	sum         uint64             // FNV-1a of the payload at send time (0 in time-only mode)
+	sum         uint64             // payloadSum of the payload at send time
+	summed      bool               // the send buffer had data, so sum is set
 	commit      func(bool, uint64) // land the payload (corrupt verdict, corruption key)
 	check       func() uint64      // recompute the landed checksum (nil when deferred/time-only)
 	onAccept    func()             // optional: receiver accepted a copy (before the ACK returns)
@@ -75,7 +77,9 @@ type envelope struct {
 }
 
 // hash64 is the deterministic decision hash shared by fault draws and
-// corruption keys.
+// corruption keys. It stays FNV-1a + fmix64 although payloads are hashed
+// with xxHash64: its values pick which deliveries drop, corrupt and
+// duplicate, so changing it would change every lossy run's virtual time.
 func (w *World) hash64(link string, src, dst int, seq uint64, attempt int, purpose byte) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
@@ -107,12 +111,8 @@ func (w *World) draw(link string, src, dst int, seq uint64, attempt int, purpose
 	return float64(w.hash64(link, src, dst, seq, attempt, purpose)>>11) / (1 << 53)
 }
 
-// fnvSum is the envelope's payload checksum.
-func fnvSum(data []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(data)
-	return h.Sum64()
-}
+// payloadSum is the envelope's payload checksum.
+func payloadSum(data []byte) uint64 { return checksum.Sum64(data) }
 
 // corruptPayload deterministically flips bytes of a landed payload region.
 // The XOR masks are nonzero, so every flip changes its byte and a corrupted
@@ -178,7 +178,8 @@ func (w *World) reliableSendSeq(name string, fwd, rev []*flownet.Link, send, rec
 		onDone:   onDone,
 	}
 	if data := send.buf.Data(); data != nil {
-		env.sum = fnvSum(data[send.off : send.off+send.bytes])
+		env.sum = payloadSum(data[send.off : send.off+send.bytes])
+		env.summed = true
 	}
 	env.maxAttempts = w.SendRetries
 	if env.maxAttempts <= 0 {
@@ -365,7 +366,7 @@ func (env *envelope) deliver(n int, corrupt, final bool) {
 		// The flipped bytes really land, the checksum mismatch is detected,
 		// and the copy is rejected; a clean retransmission overwrites it.
 		env.commit(true, key)
-		if env.check != nil && env.sum != 0 && env.check() == env.sum {
+		if env.check != nil && env.summed && env.check() == env.sum {
 			panic(fmt.Sprintf("mpi: corrupt delivery %s seq %d left the checksum intact", env.name, env.seq))
 		}
 		w.stats.Nacks++
@@ -381,7 +382,7 @@ func (env *envelope) deliver(n int, corrupt, final bool) {
 		// exchange layer is the backstop.
 		w.stats.Exhausted++
 		env.proto("exhausted", "", n)
-	} else if env.check != nil && env.sum != 0 && env.check() != env.sum {
+	} else if env.check != nil && env.summed && env.check() != env.sum {
 		panic(fmt.Sprintf("mpi: clean delivery %s seq %d failed its checksum", env.name, env.seq))
 	}
 	if env.onAccept != nil {

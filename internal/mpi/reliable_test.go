@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/nodeaware/stencil/internal/flownet"
@@ -264,4 +265,36 @@ func TestReliableSeedChangesOutcome(t *testing.T) {
 		}
 	}
 	t.Error("15 different seeds produced identical fault outcomes")
+}
+
+// The delivery self-checks key on whether the send buffer had data, not on
+// the checksum's value: a payload whose checksum happens to be 0 is still
+// checked on both the corrupt and the clean path.
+func TestReliableSelfCheckZeroSum(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		corrupt bool
+		landed  uint64 // what the receiver's recomputed checksum reads
+		want    string
+	}{
+		{"corrupt copy hashes like the payload", true, 0, "left the checksum intact"},
+		{"clean copy hashes differently", false, 1, "failed its checksum"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, w, _ := reliableRig(t, false, 1)
+			env := &envelope{
+				w: w, name: "zero-sum", maxAttempts: 8,
+				sum: 0, summed: true,
+				commit: func(bool, uint64) {},
+				check:  func() uint64 { return c.landed },
+			}
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, c.want) {
+					t.Errorf("deliver panicked with %q, want a panic containing %q", msg, c.want)
+				}
+			}()
+			env.deliver(0, c.corrupt, false)
+		})
+	}
 }
