@@ -335,8 +335,8 @@ func crashOverheadPhase(base serve.Config, log io.Writer) (*crashOverhead, error
 	oh.OverheadRatio = memRate / durRate
 	oh.GroupCommits = js.Syncs
 	oh.JournalRecords = js.Records
-	fmt.Fprintf(log, "crashsmoke: %.0f jobs/s in-memory, %.0f jobs/s durable (ratio %.2fx, %d group commits for %d records)\n",
-		memRate, durRate, oh.OverheadRatio, js.Syncs, js.Records)
+	fmt.Fprintf(log, "crashsmoke: %.0f jobs/s in-memory, %.0f jobs/s durable (ratio %.2fx, %d group commits (%d capped) for %d records)\n",
+		memRate, durRate, oh.OverheadRatio, js.Syncs, js.CappedSyncs, js.Records)
 	return oh, nil
 }
 

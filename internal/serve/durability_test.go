@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"fmt"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -347,12 +348,20 @@ func TestJournalOverheadCounters(t *testing.T) {
 		t.Errorf("journal records %d, want >= 16", st.Records)
 	}
 	// Group commit: fsyncs must not exceed durable appends (one per submit
-	// at worst, fewer when submits batch behind a leader).
+	// at worst, fewer when concurrent submits share one commit).
 	if st.Syncs > 8+1 {
 		t.Errorf("group commits %d for 8 submits", st.Syncs)
 	}
 	if st.Syncs < 1 {
 		t.Error("no fsync recorded for durable submits")
+	}
+	ts := httptest.NewServer(s.Handler())
+	_, body := get(t, ts, "/metrics")
+	ts.Close()
+	for _, want := range []string{"stencilserve_journal_group_commits", "stencilserve_journal_capped_commits"} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("metrics missing %s", want)
+		}
 	}
 	s.Drain()
 

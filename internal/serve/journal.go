@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -27,9 +28,14 @@ import (
 // Appends use group commit with a dedicated syncer goroutine: appenders
 // write their line into a buffered writer under the mutex and (for durable
 // appends) wait; the syncer flushes the buffer and fsyncs, covering every
-// record written since the previous commit began. Under concurrent submits
-// one flush+fsync amortizes over the whole batch, which is what keeps
-// journaling within the 1.5x throughput budget.
+// record written since the previous commit began. Before each commit the
+// syncer yields the processor while the batch keeps growing, so submitters
+// that are already runnable join it; the batch closes as soon as a yield
+// adds nothing. Commits that follow each other closely are paced one
+// millisecond apart. Under concurrent submits one flush+fsync amortizes
+// over the whole batch, which is what keeps journaling within the 1.5x
+// throughput budget, while a submit to an idle journal commits in one
+// fsync latency plus one yield.
 
 // JournalName is the WAL file name inside a data directory.
 const JournalName = "journal.ndjson"
@@ -110,9 +116,18 @@ type journal struct {
 	// fsync, so compact() must not swap the file handle.
 	inFsync bool
 
-	records int64 // appended records
-	bytes   int64 // appended bytes
-	syncs   int64 // fsync calls (group commits)
+	records     int64 // appended records
+	bytes       int64 // appended bytes
+	syncs       int64 // fsync calls (group commits)
+	cappedSyncs int64 // commits closed by batchCap, not by the batch ceasing to grow
+
+	// batchCap is groupCommitCap as of open. fsync and yield are the
+	// syncer's commit and batch-closing steps ((*os.File).Sync and
+	// runtime.Gosched); tests replace them to hold the syncer at a known
+	// point.
+	batchCap time.Duration
+	fsync    func(*os.File) error
+	yield    func()
 
 	done chan struct{} // syncer exited
 }
@@ -138,6 +153,7 @@ func openJournal(path string) (*journal, error) {
 	j := &journal{
 		path: path, f: f, w: bufio.NewWriterSize(f, 64<<10),
 		size: fi.Size(), done: make(chan struct{}),
+		batchCap: groupCommitCap, fsync: (*os.File).Sync, yield: runtime.Gosched,
 	}
 	j.cond = sync.NewCond(&j.mu)
 	j.want = sync.NewCond(&j.mu)
@@ -191,21 +207,33 @@ func truncateTornTail(path string) error {
 	return f.Truncate(0)
 }
 
-// groupCommitWindow rate-limits fsyncs under sustained load: once a commit
-// has happened, the next one waits out the remainder of the window so the
-// batch behind it grows. An idle journal (no commit within the last window)
-// syncs immediately, so a lone submit still acks in one fsync latency. The
-// window bounds worst-case ack latency at a few milliseconds — far below a
-// job's runtime — and is what keeps journaling inside the 1.5x throughput
-// budget when fsync latency rivals job duration.
-const groupCommitWindow = 2 * time.Millisecond
+// groupCommitCap bounds how long one batch may stay open, measured from
+// when the syncer starts closing it, after any pacing sleep. Batches
+// normally close much sooner, when a yield adds no new durable append; the
+// cap only matters when submitters keep arriving, and it bounds the extra
+// ack latency they can impose on the batch's first record at a few
+// milliseconds, far below a job's runtime. A package var so tests can
+// raise it; each journal reads it once at open.
+var groupCommitCap = 2 * time.Millisecond
+
+// groupCommitInterval paces back-to-back commits: a batch that opens within
+// this long of the previous commit's end first sleeps out the rest of it.
+// An idle journal never sleeps, so a submit to it still commits in one
+// fsync latency plus one yield. Under sustained load the pace makes a
+// timer, not the CPU the host happens to have free, the larger part of
+// each submit's wall time, so throughput stays steady from run to run.
+// One millisecond is also about the shortest sleep the Go runtime resolves
+// on Linux once every goroutine is blocked: shorter ones round up to it.
+const groupCommitInterval = time.Millisecond
 
 // syncLoop is the dedicated group-commit goroutine: it fsyncs whenever
 // durable appenders are waiting, so each commit covers every record written
 // since the previous one began. A dedicated syncer batches markedly better
 // under CPU load than leader election among the appenders — there is no
 // per-commit wakeup handoff on the critical path, appenders just pile up
-// behind the in-flight commit.
+// behind the in-flight commit. Before each commit it sleeps out the pace
+// left over from the previous commit, then yields until a yield brings in
+// no new durable append, or the batch cap runs out.
 func (j *journal) syncLoop() {
 	defer close(j.done)
 	var lastSync time.Time
@@ -220,8 +248,7 @@ func (j *journal) syncLoop() {
 			j.mu.Unlock()
 			return
 		}
-		if wait := groupCommitWindow - time.Since(lastSync); wait > 0 {
-			// Recent commit: let the batch accumulate before the next one.
+		if wait := groupCommitInterval - time.Since(lastSync); wait > 0 {
 			j.mu.Unlock()
 			time.Sleep(wait)
 			j.mu.Lock()
@@ -230,11 +257,30 @@ func (j *journal) syncLoop() {
 				return
 			}
 		}
+		opened := time.Now()
+		capped := false
+		for {
+			before := j.wantSync
+			j.mu.Unlock()
+			j.yield()
+			j.mu.Lock()
+			if j.dead || j.err != nil {
+				j.mu.Unlock()
+				return
+			}
+			if j.wantSync == before {
+				break // the batch stopped growing
+			}
+			if time.Since(opened) >= j.batchCap {
+				capped = true
+				break
+			}
+		}
 		target := j.seq
 		j.inFsync = true
 		ferr := j.w.Flush()
 		j.mu.Unlock()
-		serr := j.f.Sync()
+		serr := j.fsync(j.f)
 		if serr == nil {
 			serr = ferr
 		}
@@ -253,6 +299,9 @@ func (j *journal) syncLoop() {
 		} else if target > j.synced {
 			j.synced = target
 			j.syncs++
+			if capped {
+				j.cappedSyncs++
+			}
 		}
 		j.cond.Broadcast()
 	}
@@ -354,13 +403,19 @@ type journalStats struct {
 	Records int64
 	Bytes   int64
 	Syncs   int64
-	Size    int64 // current file length
+	// CappedSyncs counts the commits closed by the batch cap rather than by
+	// the batch ceasing to grow.
+	CappedSyncs int64
+	Size        int64 // current file length
 }
 
 func (j *journal) stats() journalStats {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return journalStats{Records: j.records, Bytes: j.bytes, Syncs: j.syncs, Size: j.size}
+	return journalStats{
+		Records: j.records, Bytes: j.bytes, Syncs: j.syncs,
+		CappedSyncs: j.cappedSyncs, Size: j.size,
+	}
 }
 
 // compact rewrites the journal to live state at a safe point: it holds the

@@ -711,7 +711,10 @@ type JournalStats struct {
 	Records int64 `json:"records"`
 	Bytes   int64 `json:"bytes"`
 	Syncs   int64 `json:"syncs"` // group commits: fsyncs, each covering >=1 record
-	Size    int64 `json:"size"`  // current file size (bytes)
+	// CappedSyncs counts the group commits closed by the batch cap rather
+	// than by the batch ceasing to grow.
+	CappedSyncs int64 `json:"capped_syncs"`
+	Size        int64 `json:"size"` // current file size (bytes)
 }
 
 // JournalStats reports the journal counters (zero when in-memory only).
@@ -719,8 +722,7 @@ func (s *Server) JournalStats() JournalStats {
 	if s.journal == nil {
 		return JournalStats{}
 	}
-	st := s.journal.stats()
-	return JournalStats{Records: st.Records, Bytes: st.Bytes, Syncs: st.Syncs, Size: st.Size}
+	return JournalStats(s.journal.stats())
 }
 
 // QueueDepth reports the number of queued jobs.
@@ -922,6 +924,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		s.tel.Gauge("stencilserve_journal_records").Set(float64(js.Records))
 		s.tel.Gauge("stencilserve_journal_bytes").Set(float64(js.Bytes))
 		s.tel.Gauge("stencilserve_journal_group_commits").Set(float64(js.Syncs))
+		s.tel.Gauge("stencilserve_journal_capped_commits").Set(float64(js.CappedSyncs))
 		s.tel.Gauge("stencilserve_journal_size_bytes").Set(float64(js.Size))
 		s.tel.Gauge("stencilserve_journal_compactions_total").Set(float64(s.compactions.Load()))
 	}
