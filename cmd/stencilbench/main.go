@@ -3,8 +3,13 @@
 //
 // Usage:
 //
-//	stencilbench -experiment fig11|fig12a|fig12b|fig12c|fig13|fig3|fastpath|compare|metrics|all
-//	             [-maxnodes N] [-iters K] [-json FILE] [-metrics FILE] [-parallel N] [-compare]
+//	stencilbench -experiment table1|fig3|fig11|fig12a|fig12b|fig12c|fig13|overlap|metrics|matrix|all
+//	             [-maxnodes N] [-iters K] [-json FILE] [-metrics FILE] [-matrix FILE] [-parallel N]
+//
+// Every number printed or written is virtual (simulated) time or a count
+// derived from it, so each output is deterministic and the committed goldens
+// in results/ are compared byte for byte. What the simulator itself costs
+// in wall time is measured by the benchmark harness in bench/.
 //
 // With -json FILE the same rows are also written as machine-readable JSON
 // (one object per experiment), so plots and regression checks can consume
@@ -12,13 +17,13 @@
 //
 // -metrics FILE runs the telemetry metrics ladder (the capability ladder on
 // a small smoke configuration with a telemetry recorder attached) and writes
-// the combined deterministic metrics report — the file results/METRICS.json
-// pins and the CI metrics-snapshot job diffs with cmd/telemetry.
+// the combined metrics report (results/METRICS.json). -matrix FILE runs the
+// feature-cost matrix and writes its report (results/MATRIX.json). Each of
+// them selects its own experiment, so they cannot be combined with each
+// other or with a different -experiment.
 //
 // -parallel N runs the simulation engine's deferred payloads on N worker
 // goroutines (0 = sequential; results are bit-identical either way).
-// -compare (or -experiment compare) benchmarks sequential vs parallel wall
-// time on a real-data configuration and verifies bit-identical results.
 package main
 
 import (
@@ -27,7 +32,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"github.com/nodeaware/stencil/internal/figures"
 	"github.com/nodeaware/stencil/internal/jobspec"
@@ -36,25 +40,10 @@ import (
 
 func main() { jobspec.Main(run) }
 
-// benchExperiment is one experiment's rows in the -json output. WallSeconds
-// is how long the simulator itself took to produce the rows, so BENCH.json
-// doubles as a record of the tool's own performance.
+// benchExperiment is one experiment's rows in the -json output.
 type benchExperiment struct {
-	Name        string        `json:"name"`
-	WallSeconds float64       `json:"wall_seconds"`
-	Rows        []figures.Row `json:"rows"`
-}
-
-// seedWall64 records the host wall-clock seconds the 64-node weak-scaling
-// ladder (iters=3, sequential engine) took per capability rung at the
-// repository seed, before the fast-path work (incremental waterfill, plan
-// caching, deferred payload execution). The fastpath experiment reports
-// current wall times against these, giving BENCH.json before/after numbers.
-var seedWall64 = map[string]float64{
-	"+remote": 6.800,
-	"+colo":   5.616,
-	"+peer":   5.657,
-	"+kernel": 5.681,
+	Name string        `json:"name"`
+	Rows []figures.Row `json:"rows"`
 }
 
 // benchReport is the top-level -json document (BENCH.json).
@@ -67,26 +56,33 @@ type benchReport struct {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("stencilbench", flag.ContinueOnError)
-	experiment := fs.String("experiment", "all", "which figure to regenerate (table1, fig3, fig11, fig12a, fig12b, fig12c, fig13, fastpath, overlap, compare, metrics, matrix, all)")
+	experiment := fs.String("experiment", "all", "which figure to regenerate (table1, fig3, fig11, fig12a, fig12b, fig12c, fig13, overlap, metrics, matrix, all)")
 	maxNodes := fs.Int("maxnodes", 32, "largest node count for scaling experiments (paper: 256)")
 	iters := fs.Int("iters", 3, "exchange iterations per configuration (paper: 30)")
 	jsonPath := fs.String("json", "", "also write the rows as JSON to this file (e.g. results/BENCH.json)")
 	metricsPath := fs.String("metrics", "", "run the metrics ladder and write its telemetry report to this file (e.g. results/METRICS.json)")
 	matrixPath := fs.String("matrix", "", "run the feature-cost matrix and write its report to this file (e.g. results/MATRIX.json)")
-	parallel := fs.Int("parallel", 0, "payload worker goroutines for the simulation engine (0 = sequential; results are bit-identical; -compare defaults to NumCPU)")
-	compare := fs.Bool("compare", false, "shorthand for -experiment compare: benchmark sequential vs parallel engine wall time")
+	parallel := fs.Int("parallel", 0, "payload worker goroutines for the simulation engine (0 = sequential; results are bit-identical)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	figures.Workers = *parallel
-	if *compare {
-		*experiment = "compare"
+
+	// -metrics and -matrix each select their experiment. Reject any other
+	// selection instead of silently running one and dropping the other.
+	if *metricsPath != "" && *matrixPath != "" {
+		return fmt.Errorf("-metrics and -matrix run different experiments; pass one of them")
 	}
-	if *metricsPath != "" {
-		*experiment = "metrics"
-	}
-	if *matrixPath != "" {
-		*experiment = "matrix"
+	experimentSet := false
+	fs.Visit(func(f *flag.Flag) { experimentSet = experimentSet || f.Name == "experiment" })
+	for _, sel := range []struct{ name, path string }{{"metrics", *metricsPath}, {"matrix", *matrixPath}} {
+		if sel.path == "" {
+			continue
+		}
+		if experimentSet && *experiment != sel.name {
+			return fmt.Errorf("-%s runs the %s experiment; it conflicts with -experiment %s", sel.name, sel.name, *experiment)
+		}
+		*experiment = sel.name
 	}
 
 	var metricsReport *telemetry.Report
@@ -102,20 +98,16 @@ func run(args []string, out io.Writer) error {
 			matrixReport = rep
 			return rows, err
 		},
-		"table1":   func() ([]figures.Row, error) { return figures.TableI(), nil },
-		"fig3":     func() ([]figures.Row, error) { return figures.Fig3(), nil },
-		"fig11":    func() ([]figures.Row, error) { return figures.Fig11(*iters) },
-		"fig12a":   func() ([]figures.Row, error) { return figures.Fig12a(*iters) },
-		"fig12b":   func() ([]figures.Row, error) { return figures.Fig12b(*maxNodes, *iters) },
-		"fig12c":   func() ([]figures.Row, error) { return figures.Fig12c(*maxNodes, *iters) },
-		"fig13":    func() ([]figures.Row, error) { return figures.Fig13(*maxNodes, *iters) },
-		"compare":  func() ([]figures.Row, error) { return figures.Compare(*iters, *parallel) },
-		"fastpath": func() ([]figures.Row, error) { return figures.FastPath(*iters, seedWall64) },
-		"overlap":  func() ([]figures.Row, error) { return figures.Overlap(*iters) },
+		"table1":  func() ([]figures.Row, error) { return figures.TableI(), nil },
+		"fig3":    func() ([]figures.Row, error) { return figures.Fig3(), nil },
+		"fig11":   func() ([]figures.Row, error) { return figures.Fig11(*iters) },
+		"fig12a":  func() ([]figures.Row, error) { return figures.Fig12a(*iters) },
+		"fig12b":  func() ([]figures.Row, error) { return figures.Fig12b(*maxNodes, *iters) },
+		"fig12c":  func() ([]figures.Row, error) { return figures.Fig12c(*maxNodes, *iters) },
+		"fig13":   func() ([]figures.Row, error) { return figures.Fig13(*maxNodes, *iters) },
+		"overlap": func() ([]figures.Row, error) { return figures.Overlap(*iters) },
 	}
-	// "compare" is opt-in (not part of "all"): it re-runs configurations
-	// twice to measure the simulator itself rather than the modeled machine.
-	order := []string{"table1", "fig3", "fig11", "fig12a", "fig12b", "fig12c", "fig13", "fastpath", "overlap"}
+	order := []string{"table1", "fig3", "fig11", "fig12a", "fig12b", "fig12c", "fig13", "overlap"}
 
 	which := order
 	if *experiment != "all" {
@@ -128,57 +120,49 @@ func run(args []string, out io.Writer) error {
 	report := benchReport{Tool: "stencilbench", MaxNodes: *maxNodes, Iters: *iters}
 	for _, name := range which {
 		fmt.Fprintf(out, "== %s ==\n", name)
-		start := time.Now()
 		rows, err := runners[name]()
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
-		wall := time.Since(start).Seconds()
 		for _, r := range rows {
 			fmt.Fprintln(out, r)
 		}
 		fmt.Fprintln(out)
-		report.Experiments = append(report.Experiments, benchExperiment{
-			Name: name, WallSeconds: wall, Rows: rows,
-		})
+		report.Experiments = append(report.Experiments, benchExperiment{Name: name, Rows: rows})
 	}
 
-	if *jsonPath != "" {
-		f, err := os.Create(*jsonPath)
-		if err != nil {
+	for _, w := range []struct {
+		path, what string
+		doc        any
+	}{
+		{*jsonPath, "JSON report", report},
+		{*metricsPath, "metrics report", metricsReport},
+		{*matrixPath, "matrix report", matrixReport},
+	} {
+		if w.path == "" {
+			continue
+		}
+		if err := writeJSON(w.path, w.doc); err != nil {
 			return err
 		}
-		defer f.Close()
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "JSON report written to %s\n", *jsonPath)
-	}
-	if *metricsPath != "" && metricsReport != nil {
-		f, err := os.Create(*metricsPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := telemetry.WriteReport(f, metricsReport); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "metrics report written to %s\n", *metricsPath)
-	}
-	if *matrixPath != "" && matrixReport != nil {
-		f, err := os.Create(*matrixPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(matrixReport); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "matrix report written to %s\n", *matrixPath)
+		fmt.Fprintf(out, "%s written to %s\n", w.what, w.path)
 	}
 	return nil
+}
+
+// writeJSON writes v as indented JSON to path. It returns the first error of
+// create, encode and close, so a short write of a golden fails the command.
+func writeJSON(path string, v any) (err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
 }

@@ -1,7 +1,4 @@
-// Command telemetry analyzes the unified observability outputs of the other
-// tools. It has two modes:
-//
-// Report mode digests an NDJSON event log (faultsim -events, or any
+// Command telemetry digests an NDJSON event log (faultsim -events, or any
 // telemetry.Recorder.WriteEvents output) into a human-readable summary:
 //
 //	telemetry -events run.ndjson [-top N]
@@ -10,14 +7,6 @@
 // hottest links by integrated utilization (from link samples), and a method
 // ledger: the setup-time selection followed by every fault and adaptation in
 // virtual-time order.
-//
-// Diff mode compares two metrics reports (stencilbench -metrics output) and
-// exits nonzero when they disagree — the CI metrics-snapshot gate:
-//
-//	telemetry -ref results/METRICS.json -got /tmp/METRICS-new.json [-tol 0.20]
-//
-// The schema (metric names, labels, bucket layouts, link and span sets) must
-// match exactly; values may drift within the relative tolerance.
 package main
 
 import (
@@ -28,8 +17,6 @@ import (
 	"io"
 	"os"
 	"sort"
-
-	"github.com/nodeaware/stencil/internal/telemetry"
 )
 
 func main() {
@@ -43,44 +30,14 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("telemetry", flag.ContinueOnError)
 	events := fs.String("events", "", "NDJSON event log to summarize")
 	top := fs.Int("top", 10, "how many hottest links to list")
-	ref := fs.String("ref", "", "reference metrics report (diff mode)")
-	got := fs.String("got", "", "candidate metrics report (diff mode)")
-	tol := fs.Float64("tol", 0.20, "relative value tolerance for diff mode")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	switch {
-	case *ref != "" || *got != "":
-		if *ref == "" || *got == "" {
-			return fmt.Errorf("diff mode needs both -ref and -got")
-		}
-		return diffMode(out, *ref, *got, *tol)
-	case *events != "":
-		return reportMode(out, *events, *top)
+	if *events == "" {
+		return fmt.Errorf("nothing to do: pass -events FILE")
 	}
-	return fmt.Errorf("nothing to do: pass -events FILE, or -ref and -got for diff mode")
-}
-
-func diffMode(out io.Writer, refPath, gotPath string, tol float64) error {
-	refRep, err := telemetry.ReadReport(refPath)
-	if err != nil {
-		return err
-	}
-	gotRep, err := telemetry.ReadReport(gotPath)
-	if err != nil {
-		return err
-	}
-	issues := telemetry.DiffReports(refRep, gotRep, tol)
-	if len(issues) == 0 {
-		fmt.Fprintf(out, "metrics match: %d runs within %.0f%% of %s\n",
-			len(refRep.Runs), tol*100, refPath)
-		return nil
-	}
-	for _, is := range issues {
-		fmt.Fprintf(out, "  %s\n", is)
-	}
-	return fmt.Errorf("metrics drift: %d issues against %s", len(issues), refPath)
+	return reportMode(out, *events, *top)
 }
 
 // event is one parsed NDJSON line; Extra holds the kind-specific fields.

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	stencil "github.com/nodeaware/stencil"
-	"github.com/nodeaware/stencil/internal/telemetry"
 )
 
 // faultEvents runs a small nvlink-kill job with adaptation and telemetry and
@@ -69,51 +68,6 @@ func TestReportModeMissingFile(t *testing.T) {
 	var buf strings.Builder
 	if err := run([]string{"-events", "/nonexistent.ndjson"}, &buf); err == nil {
 		t.Error("expected error for missing event log")
-	}
-}
-
-func mkReport(t *testing.T, dir, name string, v float64) string {
-	t.Helper()
-	r := telemetry.New()
-	r.Counter("c").Add(v)
-	rep := &telemetry.Report{Schema: telemetry.SchemaVersion, Tool: "test",
-		Runs: []telemetry.ReportRun{{Config: "cfg", Snapshot: r.Snapshot()}}}
-	path := filepath.Join(dir, name)
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if err := telemetry.WriteReport(f, rep); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-// TestDiffMode: matching reports pass, drifted values beyond tolerance fail
-// with a nonzero (error) result — the CI gate contract.
-func TestDiffMode(t *testing.T) {
-	dir := t.TempDir()
-	ref := mkReport(t, dir, "ref.json", 100)
-	same := mkReport(t, dir, "same.json", 101)
-	far := mkReport(t, dir, "far.json", 200)
-
-	var buf strings.Builder
-	if err := run([]string{"-ref", ref, "-got", same, "-tol", "0.10"}, &buf); err != nil {
-		t.Fatalf("1%% drift rejected at 10%% tolerance: %v", err)
-	}
-	if !strings.Contains(buf.String(), "metrics match") {
-		t.Errorf("missing match confirmation:\n%s", buf.String())
-	}
-	if err := run([]string{"-ref", ref, "-got", far, "-tol", "0.10"}, &buf); err == nil {
-		t.Error("100% drift passed a 10% tolerance")
-	}
-}
-
-func TestDiffModeNeedsBothFiles(t *testing.T) {
-	var buf strings.Builder
-	if err := run([]string{"-ref", "only-one.json"}, &buf); err == nil {
-		t.Error("expected error when -got is missing")
 	}
 }
 

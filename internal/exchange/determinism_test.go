@@ -23,12 +23,8 @@ type detResult struct {
 	trace  []cudart.OpRecord
 }
 
-func runDeterministic(t *testing.T, workers int, cudaAware bool) detResult {
+func runDeterministic(t *testing.T, workers int, caps Capabilities, cudaAware bool) detResult {
 	t.Helper()
-	caps := CapsAll()
-	if cudaAware {
-		caps = CapsRemote()
-	}
 	opts := Options{
 		Nodes:        2,
 		RanksPerNode: 3,
@@ -92,31 +88,33 @@ func diffResults(t *testing.T, label string, a, b detResult) {
 // payload executor: the same configuration run sequentially (Workers 0) and
 // in parallel (Workers 8), twice each, must produce byte-identical halos
 // (Domain fingerprints), identical virtual times, and identical fault, adapt,
-// and op-trace records. Run under -race in CI, this also shakes out data
-// races between payload components.
+// and op-trace records. It covers every rung of the paper's capability
+// ladder (each moves a different payload mix: host MPI copies, staged
+// copies, peer copies, kernels) plus CUDA-aware MPI. Run under -race in CI,
+// this also shakes out data races between payload components.
 func TestParallelDeterminism(t *testing.T) {
-	for _, ca := range []bool{false, true} {
-		name := "ladder"
-		if ca {
-			name = "cudaaware"
+	check := func(t *testing.T, caps Capabilities, ca bool) {
+		seq1 := runDeterministic(t, 0, caps, ca)
+		seq2 := runDeterministic(t, 0, caps, ca)
+		par1 := runDeterministic(t, 8, caps, ca)
+		par2 := runDeterministic(t, 8, caps, ca)
+		diffResults(t, "sequential repeat", seq1, seq2)
+		diffResults(t, "parallel repeat", par1, par2)
+		diffResults(t, "sequential vs parallel", seq1, par1)
+		if len(seq1.fps) == 0 {
+			t.Fatal("no subdomains fingerprinted")
 		}
-		t.Run(name, func(t *testing.T) {
-			seq1 := runDeterministic(t, 0, ca)
-			seq2 := runDeterministic(t, 0, ca)
-			par1 := runDeterministic(t, 8, ca)
-			par2 := runDeterministic(t, 8, ca)
-			diffResults(t, "sequential repeat", seq1, seq2)
-			diffResults(t, "parallel repeat", par1, par2)
-			diffResults(t, "sequential vs parallel", seq1, par1)
-			if len(seq1.fps) == 0 {
-				t.Fatal("no subdomains fingerprinted")
-			}
-			// Sanity: the run did real work (non-trivial trace, nonzero time).
-			if seq1.virt <= 0 || len(seq1.trace) == 0 {
-				t.Fatalf("degenerate run: virt=%v ops=%d", seq1.virt, len(seq1.trace))
-			}
-		})
+		// Sanity: the run did real work (non-trivial trace, nonzero time).
+		if seq1.virt <= 0 || len(seq1.trace) == 0 {
+			t.Fatalf("degenerate run: virt=%v ops=%d", seq1.virt, len(seq1.trace))
+		}
 	}
+	t.Run("ladder", func(t *testing.T) {
+		for _, caps := range []Capabilities{CapsRemote(), CapsColo(), CapsPeer(), CapsAll()} {
+			t.Run(Options{Caps: caps}.CapsString(), func(t *testing.T) { check(t, caps, false) })
+		}
+	})
+	t.Run("cudaaware", func(t *testing.T) { check(t, CapsRemote(), true) })
 }
 
 // TestParallelVerifiesHalos re-checks functional halo correctness under the

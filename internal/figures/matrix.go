@@ -1,14 +1,12 @@
 // The feature-cost benchmark matrix: every optional layer off/on × node
 // count, reporting what each feature adds on top of the bare exchange.
-// cmd/stencilbench runs it (-experiment matrix, -matrix FILE) and
-// cmd/benchdrift -matrix gates CI on per-feature virtual-time regressions
-// against the committed results/MATRIX.json.
+// cmd/stencilbench runs it (-experiment matrix, -matrix FILE); every field is
+// deterministic, so the regenerated report must equal the committed
+// results/MATRIX.json byte for byte.
 package figures
 
 import (
 	"fmt"
-	"runtime"
-	"time"
 
 	"github.com/nodeaware/stencil/internal/exchange"
 	"github.com/nodeaware/stencil/internal/part"
@@ -18,14 +16,14 @@ import (
 // MatrixSchema identifies the MATRIX.json document layout.
 const MatrixSchema = "stencil-matrix/1"
 
-// MatrixNodeCounts is the node-count axis of the matrix. The acceptance
-// gate requires every feature measured at two or more counts.
+// MatrixNodeCounts is the node-count axis of the matrix. cmd/stencilbench's
+// TestMatrixGoldenCoverage requires every feature measured at two or more
+// counts in the committed results/MATRIX.json.
 var MatrixNodeCounts = []int{1, 2}
 
-// MatrixCell is one (feature, node count) measurement. VirtualSeconds,
-// engine counts, and the ledger are deterministic (gated by benchdrift
-// -matrix); wall-clock seconds and runtime alloc deltas depend on the host
-// and are informational only.
+// MatrixCell is one (feature, node count) measurement: virtual time, engine
+// counts and the feature ledger, all deterministic. Host cost (wall time,
+// allocations) is bench/'s to measure.
 type MatrixCell struct {
 	Feature         string  `json:"feature"`
 	Nodes           int     `json:"nodes"`
@@ -35,12 +33,10 @@ type MatrixCell struct {
 	DeltaSeconds    float64 `json:"delta_seconds"`
 	Ratio           float64 `json:"ratio"`
 
-	WallSeconds     float64 `json:"wall_seconds"`
-	RuntimeAllocs   uint64  `json:"runtime_allocs"`
-	EventsScheduled uint64  `json:"events_scheduled"`
-	EventsExecuted  uint64  `json:"events_executed"`
-	ProcsSpawned    uint64  `json:"procs_spawned"`
-	PeakEventQueue  int     `json:"peak_event_queue"`
+	EventsScheduled uint64 `json:"events_scheduled"`
+	EventsExecuted  uint64 `json:"events_executed"`
+	ProcsSpawned    uint64 `json:"procs_spawned"`
+	PeakEventQueue  int    `json:"peak_event_queue"`
 
 	Ledger []telemetry.LedgerEntry `json:"ledger"`
 }
@@ -87,13 +83,10 @@ var matrixFeatures = []struct {
 	// without a recorder attached (see Matrix).
 }
 
-// matrixRun executes one configuration and collects the deterministic and
-// host-side measurements. telemetry may be nil (the self cell's off run).
+// matrixRun executes one configuration and collects its measurements.
+// telemetry may be nil (the self cell's off run).
 func matrixRun(opts exchange.Options, iters int, tel *telemetry.Recorder) (*MatrixCell, error) {
 	opts.Telemetry = tel
-	var before runtime.MemStats
-	runtime.ReadMemStats(&before)
-	wall0 := time.Now()
 	e, err := exchange.New(opts)
 	if err != nil {
 		return nil, err
@@ -104,11 +97,7 @@ func matrixRun(opts exchange.Options, iters int, tel *telemetry.Recorder) (*Matr
 		Nodes:          opts.Nodes,
 		Config:         opts.ConfigString(),
 		VirtualSeconds: float64(e.Eng.Now()) - v0,
-		WallSeconds:    time.Since(wall0).Seconds(),
 	}
-	var after runtime.MemStats
-	runtime.ReadMemStats(&after)
-	cell.RuntimeAllocs = after.Mallocs - before.Mallocs
 	c := e.Eng.Counts()
 	cell.EventsScheduled = c.Scheduled
 	cell.EventsExecuted = c.Executed
@@ -150,9 +139,8 @@ func Matrix(iters int) ([]Row, *MatrixReport, error) {
 		}
 		// telemetry-self: the baseline configuration with the recorder
 		// detached. Its "overhead" relative to the recorded baseline must
-		// be exactly zero virtual seconds; the interesting numbers are the
-		// wall-clock and allocation deltas plus the recorder's own
-		// retained-state entry in the baseline ledger.
+		// be exactly zero virtual seconds; the interesting number is the
+		// recorder's own retained-state entry in the baseline ledger.
 		off, err := matrixRun(matrixOpts(nodes), iters, nil)
 		if err != nil {
 			return nil, nil, fmt.Errorf("matrix telemetry-off %dn: %w", nodes, err)
@@ -167,8 +155,6 @@ func Matrix(iters int) ([]Row, *MatrixReport, error) {
 			Nodes:           nodes,
 			Config:          base.Config,
 			VirtualSeconds:  base.VirtualSeconds,
-			WallSeconds:     base.WallSeconds - off.WallSeconds,
-			RuntimeAllocs:   base.RuntimeAllocs - min64(base.RuntimeAllocs, off.RuntimeAllocs),
 			EventsScheduled: base.EventsScheduled,
 			EventsExecuted:  base.EventsExecuted,
 			ProcsSpawned:    base.ProcsSpawned,
@@ -196,14 +182,7 @@ func matrixRow(c *MatrixCell) Row {
 		Caps:    c.Feature,
 		Nodes:   c.Nodes,
 		Seconds: c.VirtualSeconds,
-		Extra: fmt.Sprintf("%+.3g ms vs baseline (%.2fx), %d events, %d allocs",
-			c.DeltaSeconds*1e3, c.Ratio, c.EventsExecuted, c.RuntimeAllocs),
+		Extra: fmt.Sprintf("%+.3g ms vs baseline (%.2fx), %d events",
+			c.DeltaSeconds*1e3, c.Ratio, c.EventsExecuted),
 	}
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }

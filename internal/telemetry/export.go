@@ -5,14 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sort"
 	"strings"
 )
 
 // SchemaVersion identifies the snapshot document layout. Bump it when the
-// Snapshot shape changes incompatibly; the CI drift gate compares it exactly.
+// Snapshot shape changes incompatibly.
 const SchemaVersion = "stencil-metrics/1"
 
 // Snapshot is the exportable state of a Recorder: every metric sorted by
@@ -369,171 +368,4 @@ func ReadReport(path string) (*Report, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return &rep, nil
-}
-
-// DiffReports compares a regenerated report against the committed golden:
-// the schema — document schema string, run list, metric names and label
-// sets, histogram bucket layouts, link and span name sets — must match
-// exactly; values must agree within the relative tolerance. It returns a
-// human-readable list of violations (empty means the gate passes).
-func DiffReports(ref, got *Report, tol float64) []string {
-	var issues []string
-	add := func(format string, args ...any) { issues = append(issues, fmt.Sprintf(format, args...)) }
-
-	if ref.Schema != got.Schema {
-		add("schema mismatch: golden %q vs regenerated %q", ref.Schema, got.Schema)
-		return issues
-	}
-	if len(ref.Runs) != len(got.Runs) {
-		add("run count mismatch: golden %d vs regenerated %d", len(ref.Runs), len(got.Runs))
-		return issues
-	}
-	for i := range ref.Runs {
-		rr, gr := &ref.Runs[i], &got.Runs[i]
-		ctx := fmt.Sprintf("run %s %s", rr.Config, rr.Caps)
-		if rr.Config != gr.Config || rr.Caps != gr.Caps {
-			add("%s: regenerated as %s %s", ctx, gr.Config, gr.Caps)
-			continue
-		}
-		diffSnapshot(ctx, &rr.Snapshot, &gr.Snapshot, tol, add)
-	}
-	return issues
-}
-
-func diffSnapshot(ctx string, ref, got *Snapshot, tol float64, add func(string, ...any)) {
-	if ref.Schema != got.Schema {
-		add("%s: snapshot schema %q vs %q", ctx, ref.Schema, got.Schema)
-		return
-	}
-	metricKey := func(m Metric) string { return m.Name + promLabels(m.Labels, "", "") }
-	diffMetrics := func(kind string, r, g []Metric) {
-		rm, gm := map[string]float64{}, map[string]float64{}
-		for _, m := range r {
-			rm[metricKey(m)] = m.Value
-		}
-		for _, m := range g {
-			gm[metricKey(m)] = m.Value
-		}
-		for _, m := range r {
-			k := metricKey(m)
-			gv, ok := gm[k]
-			if !ok {
-				add("%s: %s %s missing from regenerated run", ctx, kind, k)
-				continue
-			}
-			if !within(m.Value, gv, tol) {
-				add("%s: %s %s: golden %g vs regenerated %g (tol %g)", ctx, kind, k, m.Value, gv, tol)
-			}
-		}
-		for _, m := range g {
-			if _, ok := rm[metricKey(m)]; !ok {
-				add("%s: %s %s not in golden (schema change: regenerate the golden)", ctx, kind, metricKey(m))
-			}
-		}
-	}
-	diffMetrics("counter", ref.Counters, got.Counters)
-	diffMetrics("gauge", ref.Gauges, got.Gauges)
-
-	rh := map[string]HistMetric{}
-	for _, h := range ref.Histograms {
-		rh[h.Name+promLabels(h.Labels, "", "")] = h
-	}
-	gh := map[string]HistMetric{}
-	for _, h := range got.Histograms {
-		gh[h.Name+promLabels(h.Labels, "", "")] = h
-	}
-	for k, h := range rh {
-		g, ok := gh[k]
-		if !ok {
-			add("%s: histogram %s missing from regenerated run", ctx, k)
-			continue
-		}
-		if !equalFloats(h.Buckets, g.Buckets) {
-			add("%s: histogram %s bucket layout changed", ctx, k)
-			continue
-		}
-		if !within(float64(h.Count), float64(g.Count), tol) {
-			add("%s: histogram %s count: golden %d vs regenerated %d", ctx, k, h.Count, g.Count)
-		}
-		if !within(h.Sum, g.Sum, tol) {
-			add("%s: histogram %s sum: golden %g vs regenerated %g", ctx, k, h.Sum, g.Sum)
-		}
-	}
-	for k := range gh {
-		if _, ok := rh[k]; !ok {
-			add("%s: histogram %s not in golden (schema change: regenerate the golden)", ctx, k)
-		}
-	}
-
-	rl := map[string]LinkStat{}
-	for _, l := range ref.Links {
-		rl[l.Name] = l
-	}
-	gl := map[string]LinkStat{}
-	for _, l := range got.Links {
-		gl[l.Name] = l
-	}
-	for k, l := range rl {
-		g, ok := gl[k]
-		if !ok {
-			add("%s: link %s missing from regenerated run", ctx, k)
-			continue
-		}
-		if !within(l.BusySeconds, g.BusySeconds, tol) {
-			add("%s: link %s busy_seconds: golden %g vs regenerated %g", ctx, k, l.BusySeconds, g.BusySeconds)
-		}
-	}
-	for k := range gl {
-		if _, ok := rl[k]; !ok {
-			add("%s: link %s not in golden (schema change: regenerate the golden)", ctx, k)
-		}
-	}
-
-	rs := map[string]SpanStat{}
-	for _, s := range ref.Spans {
-		rs[s.Name] = s
-	}
-	gs := map[string]SpanStat{}
-	for _, s := range got.Spans {
-		gs[s.Name] = s
-	}
-	for k, s := range rs {
-		g, ok := gs[k]
-		if !ok {
-			add("%s: span %s missing from regenerated run", ctx, k)
-			continue
-		}
-		if s.Count != g.Count {
-			add("%s: span %s count: golden %d vs regenerated %d", ctx, k, s.Count, g.Count)
-		}
-		if !within(s.TotalSeconds, g.TotalSeconds, tol) {
-			add("%s: span %s total_seconds: golden %g vs regenerated %g", ctx, k, s.TotalSeconds, g.TotalSeconds)
-		}
-	}
-	for k := range gs {
-		if _, ok := rs[k]; !ok {
-			add("%s: span %s not in golden (schema change: regenerate the golden)", ctx, k)
-		}
-	}
-}
-
-// within reports whether two values agree within the relative tolerance.
-func within(a, b, tol float64) bool {
-	if a == b {
-		return true
-	}
-	m := math.Max(math.Abs(a), math.Abs(b))
-	return math.Abs(a-b) <= tol*m
-}
-
-func equalFloats(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

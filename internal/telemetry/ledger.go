@@ -40,7 +40,7 @@ const (
 
 // Features is the fixed export order of the ledger. Every Ledger() call
 // returns exactly these entries in exactly this order, so downstream
-// consumers (MATRIX.json, benchdrift -matrix) see a stable schema.
+// consumers (MATRIX.json and its byte-exact golden test) see a stable schema.
 var Features = []Feature{
 	FeatureBaseline, FeatureReliable, FeatureVerify, FeatureOverlap,
 	FeatureRecovery, FeatureAdapt, FeatureSelf,

@@ -7,8 +7,8 @@
 // observes: no wall-clock timestamps, no map-iteration order, no allocation
 // addresses leak into any export. Two identical runs therefore produce
 // byte-identical NDJSON event logs, JSON snapshots, and Prometheus dumps —
-// which is what lets CI gate the metric schema and steady-state values
-// against a committed golden (results/METRICS.json).
+// which is what lets CI compare a regenerated metrics report byte for byte
+// with the committed golden (results/METRICS.json).
 //
 // A Recorder is strictly passive: its hooks never schedule events, park
 // processes, or otherwise touch the engine, so enabling telemetry cannot

@@ -240,26 +240,3 @@ func TestPrometheusFamilyGrouping(t *testing.T) {
 		}
 	}
 }
-
-func TestDiffReports(t *testing.T) {
-	mk := func(v float64) *Report {
-		r := New()
-		r.Counter("c").Add(v)
-		return &Report{Schema: SchemaVersion, Tool: "t", Runs: []ReportRun{{Config: "cfg", Snapshot: r.Snapshot()}}}
-	}
-	if issues := DiffReports(mk(100), mk(100), 0); len(issues) != 0 {
-		t.Fatalf("identical reports diff: %v", issues)
-	}
-	if issues := DiffReports(mk(100), mk(105), 0.10); len(issues) != 0 {
-		t.Fatalf("5%% drift rejected at 10%% tolerance: %v", issues)
-	}
-	if issues := DiffReports(mk(100), mk(150), 0.10); len(issues) == 0 {
-		t.Fatal("50% drift passed a 10% tolerance")
-	}
-	// Schema violations are errors regardless of tolerance.
-	extra := mk(100)
-	extra.Runs[0].Snapshot.Counters = append(extra.Runs[0].Snapshot.Counters, Metric{Name: "new_metric", Value: 1})
-	if issues := DiffReports(mk(100), extra, 1000); len(issues) == 0 {
-		t.Fatal("new metric not flagged as schema change")
-	}
-}
