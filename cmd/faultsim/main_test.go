@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -9,6 +10,40 @@ import (
 
 	"github.com/nodeaware/stencil/internal/telemetry"
 )
+
+// TestTranscriptGoldens reruns each committed faultsim transcript with the
+// command documented in results/README.md and requires it byte for byte:
+// every number in a transcript is virtual time or a count derived from it.
+// Regenerate a transcript deliberately by redirecting the same command into
+// its file in results/.
+func TestTranscriptGoldens(t *testing.T) {
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"faultsim.txt", []string{"-scenario", "nvlink-kill"}},
+		{"faultsim-flap.txt", []string{"-scenario", "nvlink-flap", "-outage-iters", "530", "-iters", "16"}},
+		{"faultsim-recovery.txt", []string{"-nodes", "2", "-domain", "24", "-iters", "8",
+			"-kill", "0:1@2.5", "-killrank", "3@4.2", "-verify"}},
+		{"faultsim-lossy.txt", []string{"-nodes", "2", "-domain", "24", "-iters", "8",
+			"-drop", "0.15", "-corrupt", "0.15", "-dup", "0.1", "-retries", "3", "-seed", "7", "-flap", "3", "-verify"}},
+	} {
+		t.Run(strings.TrimSuffix(tc.golden, ".txt"), func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := run(tc.args, &buf); err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(filepath.Join("..", "..", "results", tc.golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Fatalf("results/%s differs from a fresh run (%d vs %d bytes); regenerate it with: faultsim %s > results/%[1]s",
+					tc.golden, len(want), buf.Len(), strings.Join(tc.args, " "))
+			}
+		})
+	}
+}
 
 // TestRunNVLinkKill: the acceptance scenario end to end through the driver —
 // the adaptive replay demotes the NVLink plans, verifies halos, and beats

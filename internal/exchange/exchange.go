@@ -91,13 +91,9 @@ type Options struct {
 	NodeAware bool // QAP placement (true) vs trivial linearized placement
 	RealData  bool // allocate and move real bytes (small domains only)
 
-	// FaceOnly restricts the exchange to the six face neighbors (Fig 1(a)
-	// stencils); default is the full 26-direction neighborhood.
-	FaceOnly bool
-
 	// Neighborhood selects the exchanged direction set by count: 0 (default)
 	// or 26 for the full neighborhood, 6 for faces only (Fig 1(a)), 18 for
-	// faces plus planar diagonals (Fig 1(b)). FaceOnly is shorthand for 6.
+	// faces plus planar diagonals (Fig 1(b)).
 	Neighborhood int
 
 	// OpenBoundary disables periodic wrap-around: subdomains on the domain
@@ -587,11 +583,7 @@ func New(opts Options) (*Exchanger, error) {
 		groupStates:   make(map[slotKey]*groupState),
 		overlapStates: make(map[int]*overlapIterState),
 	}
-	nbhd := opts.Neighborhood
-	if opts.FaceOnly {
-		nbhd = 6
-	}
-	switch nbhd {
+	switch opts.Neighborhood {
 	case 0, 26:
 		e.dirs = part.Directions26()
 	case 6:
@@ -599,7 +591,7 @@ func New(opts Options) (*Exchanger, error) {
 	case 18:
 		e.dirs = part.Directions18()
 	default:
-		return nil, fmt.Errorf("exchange: neighborhood %d (want 6, 18, or 26)", nbhd)
+		return nil, fmt.Errorf("exchange: neighborhood %d (want 6, 18, or 26)", opts.Neighborhood)
 	}
 	if opts.TraceOps || tel != nil {
 		rt.OnOp = func(r cudart.OpRecord) {
@@ -928,15 +920,4 @@ func (e *Exchanger) PlacementImprovement(node int) float64 {
 	w := placement.FlowMatrixBoundary(e.Hier, nodeIdx, e.Opts.Radius, e.Opts.Quantities, e.Opts.ElemSize, e.Opts.OpenBoundary)
 	d := placement.DistanceMatrix(topo.Bandwidth)
 	return placement.Improvement(w, d, e.Assignments[node])
-}
-
-// MethodOf reports the method selected for the exchange from the subdomain
-// at global index g in direction dir (testing/inspection helper).
-func (e *Exchanger) MethodOf(g, dir part.Dim3) Method {
-	for _, p := range e.Plans {
-		if p.Src.Global == g && p.Dir == dir {
-			return p.Method
-		}
-	}
-	panic(fmt.Sprintf("exchange: no plan for %v dir %v", g, dir))
 }

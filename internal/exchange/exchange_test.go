@@ -267,7 +267,7 @@ func TestPlanCountAndBytes(t *testing.T) {
 
 func TestFaceOnlyMode(t *testing.T) {
 	opts := smallOpts(6, CapsAll(), false)
-	opts.FaceOnly = true
+	opts.Neighborhood = 6
 	opts.RealData = false
 	e, err := New(opts)
 	if err != nil {

@@ -2,12 +2,8 @@ package exchange
 
 import (
 	"fmt"
-	"strconv"
 
-	"github.com/nodeaware/stencil/internal/cudart"
-	"github.com/nodeaware/stencil/internal/mpi"
 	"github.com/nodeaware/stencil/internal/sim"
-	"github.com/nodeaware/stencil/internal/telemetry"
 )
 
 // Compute/communication overlap via persistent exchange plans (Options.
@@ -154,9 +150,19 @@ func (st *overlapIterState) acceptedOf(e *Exchanger, pl *Plan) *sim.Signal {
 	return s
 }
 
+// channeled reports whether a STAGED plan rides its persistent channel: an
+// inter-node plan of an iteration with an overlap ledger (aggregated plans
+// never do; Overlap rejects AggregateRemote).
+func (st *overlapIterState) channeled(pl *Plan) bool {
+	return st != nil && pl.Src.NodeID != pl.Dst.NodeID
+}
+
 // wrapMachine decorates a top-level state machine so its completion counts
-// toward the plan's arrival fan-in.
+// toward the plan's arrival fan-in; without a ledger it returns s unchanged.
 func (st *overlapIterState) wrapMachine(pl *Plan, s *step) *step {
+	if st == nil {
+		return s
+	}
 	return wrapStep(s, st.arrival[pl.ID].Done)
 }
 
@@ -174,58 +180,10 @@ func wrapStep(s *step, onDone func()) *step {
 	}}
 }
 
-// senderOverlapSteps is senderSteps with the inter-node STAGED path rerouted
-// onto the plan's persistent channel: pack -> D2H as usual, then one Start
-// on the channel; the machine terminates at payload acceptance and the ACK
-// tail drains in the background (the send buffer is not re-read after
-// acceptance — later deliveries of the same sequence number are deduplicated
-// without touching it — and the next iteration's pack cannot start before
-// the coordinator passes this iteration's safe point).
-func (e *Exchanger) senderOverlapSteps(p *sim.Proc, pl *Plan, iter int, st *overlapIterState) []*step {
-	if pl.Method != MethodStaged || pl.Src.NodeID == pl.Dst.NodeID || pl.group != nil {
-		return e.senderSteps(p, pl, iter)
-	}
-	rt := e.RT
-	nm := pl.opNames()
-	rt.LaunchCost(p)
-	pl.sendStream.Kernel(nm.pack, pl.Bytes, e.M.Params.PackBW,
-		func() { pl.Src.Dom.Pack(pl.devSend.Data(), pl.Dir) })
-	rt.IssueCost(p)
-	d2h := pl.sendStream.MemcpyAsync(nm.d2h,
-		pl.hostSend, 0, pl.devSend, 0, pl.Bytes)
-	return []*step{{sig: d2h, next: func(p *sim.Proc) *step {
-		acc := st.acceptedOf(e, pl)
-		ch := e.W.OpenChannel(e.W.Rank(pl.Src.Rank), e.W.Rank(pl.Dst.Rank), pl.Tag)
-		ch.Start(pl.hostSend, 0, pl.hostRecv, 0, pl.Bytes, acc.Fire, func() {})
-		return &step{sig: acc}
-	}}}
-}
-
-// recverOverlapSteps is recverSteps with the inter-node STAGED path gated on
-// the channel's acceptance signal instead of an Irecv completion.
-func (e *Exchanger) recverOverlapSteps(p *sim.Proc, pl *Plan, iter int, st *overlapIterState) []*step {
-	if pl.Method != MethodStaged || pl.Src.NodeID == pl.Dst.NodeID || pl.group != nil {
-		return e.recverSteps(p, pl, iter)
-	}
-	rt := e.RT
-	nm := pl.opNames()
-	acc := st.acceptedOf(e, pl)
-	return []*step{{sig: acc, next: func(p *sim.Proc) *step {
-		rt.IssueCost(p)
-		pl.recvStream.MemcpyAsync(nm.h2d,
-			pl.devRecv, 0, pl.hostRecv, 0, pl.Bytes)
-		rt.LaunchCost(p)
-		up := pl.recvStream.Kernel(nm.unpack, pl.Bytes, e.M.Params.PackBW,
-			func() { pl.Dst.Dom.Unpack(pl.devRecv.Data(), neg(pl.Dir)) })
-		return &step{sig: up}
-	}}}
-}
-
 // verifyPump is the pipelined verifier for one iteration: quadrants are
 // checksummed as their plans' arrival fan-ins fire, not at a global scan.
-// It reuses the verifier's counters, round cap, out-of-band repair, and
-// fresh-key re-exchange machinery, so Stats reporting is shared with
-// barrier mode.
+// Each runs barrier mode's round loop (verifyRounds), so counters, round
+// cap, out-of-band repair, re-exchange and Stats reporting are shared.
 type verifyPump struct {
 	e       *Exchanger
 	st      *overlapIterState
@@ -255,149 +213,49 @@ func (pump *verifyPump) run(vp *sim.Proc) {
 	}
 }
 
-// verifyPlan drives one quadrant to verified: checksum, selectively
-// re-exchange on mismatch, repair out-of-band after the round cap. The
-// checksummed regions cannot mutate under the scan: both subdomains' border
-// kernels are gated on this very plan's verified signal.
+// verifyPlan drives one quadrant to verified through the shared round loop.
+// The checksummed regions cannot mutate under the scan: both subdomains'
+// border kernels are gated on this very plan's verified signal. Pump time
+// overlaps compute by design, so its verify attribution is inclusive
+// span-seconds, not critical-path time.
 func (pump *verifyPump) verifyPlan(vp *sim.Proc, pl *Plan) {
 	e := pump.e
-	v := e.verifier
-	tel := e.Opts.Telemetry
-	if tel != nil {
-		// Ledger-only verify attribution, mirroring verifyTick. Pump time
-		// overlaps compute by design, so these are inclusive span-seconds,
-		// not critical-path time.
-		t0 := e.Eng.Now()
-		defer func() { tel.AttributeSeconds(telemetry.FeatureVerify, e.Eng.Now()-t0) }()
-	}
-	// Deferred payload commits (unpacks) flush when their instant ends;
-	// crossing an instant boundary before each checksum pass guarantees the
-	// reads observe fully landed bytes under parallel payload workers.
-	eps := e.M.Params.MPIInterLatency
-	for round := 0; ; round++ {
-		vp.Sleep(eps)
-		if !v.quadrantBad(pl) {
-			pump.pending--
-			pump.st.verified[pl.ID].Fire()
-			return
+	bad := []*Plan{pl}
+	e.verifyRounds(vp, pump.st.iter, func() []*Plan {
+		if e.verifier.quadrantBad(pl) {
+			return bad
 		}
-		v.rounds++
-		now := e.Eng.Now()
-		if round >= verifyMaxRounds {
-			v.forceRepair(pl)
-			v.forced++
-			e.Eng.Tracef("verify: iter %d plan %d round %d: quadrant repaired out-of-band", pump.st.iter, pl.ID, round)
-			if tel != nil {
-				tel.VerifyRound(now, pump.st.iter, round, 1, true)
-			}
-			continue // the next pass confirms the repair and returns
-		}
-		if tel != nil {
-			tel.VerifyRound(now, pump.st.iter, round, 1, false)
-		}
-		e.Eng.Tracef("verify: iter %d plan %d round %d: re-exchanging quadrant", pump.st.iter, pl.ID, round)
-		key := v.nextKey
-		v.nextKey++
-		d := &stepDriver{gate: sim.NewGate(vp)}
-		for _, s := range e.recverSteps(vp, pl, key) {
-			d.add(s)
-		}
-		for _, s := range e.senderSteps(vp, pl, key) {
-			d.add(s)
-		}
-		d.drain(vp)
-		v.reexchanges++
-		if e.RT.OnOp != nil {
-			e.RT.Record(cudart.OpRecord{Kind: cudart.OpReExchange,
-				Name: fmt.Sprintf("reex.p%d", pl.ID), Device: -1, Stream: "verify",
-				Start: now, End: e.Eng.Now(), Bytes: pl.Bytes})
-		}
-	}
+		return nil
+	})
+	pump.pending--
+	pump.st.verified[pl.ID].Fire()
 }
 
-// overlapBody is the Overlap replacement for RunWithCompute's iteration
-// body: exchange and compute are pipelined per quadrant instead of
-// serialized at a global barrier.
-func (e *Exchanger) overlapBody(times []sim.Time, ar *mpi.Allreducer, runSpan *telemetry.Span, rc *recovery, compute func(*Sub)) func(p *sim.Proc, rank, it int) {
-	tel := e.Opts.Telemetry
-	return func(p *sim.Proc, rank, it int) {
-		st := e.overlapState(it)
-		t0 := e.W.Wtime()
-		d := &stepDriver{gate: sim.NewGate(p)}
-		// Receives first so no send can block on an unposted receive.
-		for _, pl := range e.recvDutiesOf(rank) {
-			for _, s := range e.recverOverlapSteps(p, pl, it, st) {
-				d.add(st.wrapMachine(pl, s))
-			}
+// launchOverlapCompute launches the rank's compute while its halos are still
+// in flight. The core kernel models the halo-independent interior update;
+// the border kernel behind it carries the real update payload, gated on the
+// subdomain's readiness signal, so no compute observes a border cell before
+// its quadrants' verified arrival. Ownership is re-read every iteration (a
+// recovery migration may move a subdomain).
+func (e *Exchanger) launchOverlapCompute(p *sim.Proc, rank int, st *overlapIterState, compute func(*Sub)) []*sim.Signal {
+	var done []*sim.Signal
+	for _, s := range e.Subs {
+		if s.Rank != rank {
+			continue
 		}
-		for _, pl := range e.sendDutiesOf(rank) {
-			for _, s := range e.senderOverlapSteps(p, pl, it, st) {
-				d.add(st.wrapMachine(pl, s))
-			}
+		s := s
+		if cb := s.Dom.CoreBytes(); cb > 0 {
+			e.RT.LaunchCost(p)
+			done = append(done, s.kernelStream.Kernel(
+				fmt.Sprintf("compute.core.%v", s.Global), cb, e.M.Params.PackBW,
+				func() {}))
 		}
-		// Every pack and send is issued: compute starts while halos are in
-		// flight. The core kernel models the halo-independent interior
-		// update; the border kernel behind it carries the real update
-		// payload, gated on the subdomain's readiness signal, so no compute
-		// observes a border cell before its quadrants' verified arrival.
-		// Ownership is re-read every iteration (a recovery migration may
-		// move a subdomain).
-		var computeDone []*sim.Signal
-		if compute != nil {
-			for _, s := range e.Subs {
-				if s.Rank != rank {
-					continue
-				}
-				s := s
-				if cb := s.Dom.CoreBytes(); cb > 0 {
-					e.RT.LaunchCost(p)
-					computeDone = append(computeDone, s.kernelStream.Kernel(
-						fmt.Sprintf("compute.core.%v", s.Global), cb, e.M.Params.PackBW,
-						func() {}))
-				}
-				e.RT.LaunchCost(p)
-				computeDone = append(computeDone, s.kernelStream.Kernel(
-					fmt.Sprintf("compute.border.%v", s.Global), s.Dom.BorderBytes(), e.M.Params.PackBW,
-					func() { compute(s) }, st.ready[s].Sig()))
-			}
-		}
-		d.drain(p)
-		dt := e.W.Wtime() - t0
-		maxDt := ar.MaxFloat(p, dt)
-		if rank == e.coordRank {
-			times[it] = maxDt
-			if tel != nil {
-				sp := tel.StartSpanFeature("exchange", runSpan, t0, telemetry.FeatureOverlap)
-				sp.End(t0+maxDt, telemetry.L("iter", strconv.Itoa(it)))
-				tel.Counter("exchange_iterations_total").Inc()
-				tel.Histogram("exchange_iteration_seconds", telemetry.SecondsBuckets).Observe(maxDt)
-			}
-			// Per-quadrant safe point: the coordinator does not hold the
-			// world at a barrier, but it does wait for every quadrant's
-			// verification before adaptation and checkpoints (both must see
-			// repaired halos) — and since no rank can leave the next
-			// loop-top barrier before the coordinator arrives, no send
-			// region is re-packed while its quadrant is still in flight.
-			st.allVerified.Wait(p)
-			// Every rank took its reference at body start (the allreduce
-			// proves it); drop the ledger so long runs stay bounded.
-			delete(e.overlapStates, it)
-			if e.Opts.Adaptive && (it+1)%e.adaptEvery() == 0 {
-				if tel != nil {
-					asp := tel.StartSpanFeature("adapt", runSpan, e.Eng.Now(), telemetry.FeatureAdapt)
-					e.adaptTick(p)
-					asp.End(e.Eng.Now())
-				} else {
-					e.adaptTick(p)
-				}
-			}
-			if rc != nil {
-				rc.atSafePoint(it)
-			}
-			e.pollPreempt()
-		}
-		sim.WaitAll(p, computeDone...)
+		e.RT.LaunchCost(p)
+		done = append(done, s.kernelStream.Kernel(
+			fmt.Sprintf("compute.border.%v", s.Global), s.Dom.BorderBytes(), e.M.Params.PackBW,
+			func() { compute(s) }, st.ready[s].Sig()))
 	}
+	return done
 }
 
 // pollPreempt runs on the coordinator at its safe point; a true from

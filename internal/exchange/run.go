@@ -20,8 +20,9 @@ type step struct {
 // senderSteps issues the send side of a plan and returns the state machines
 // the rank must drive to completion. Pure-CUDA methods return a single
 // terminal step (their chain lives entirely on streams); MPI-coupled methods
-// return multi-state machines.
-func (e *Exchanger) senderSteps(p *sim.Proc, pl *Plan, iter int) []*step {
+// return multi-state machines. led is the overlap ledger of the iteration
+// being driven, nil in barrier mode and for verifier re-exchanges.
+func (e *Exchanger) senderSteps(p *sim.Proc, pl *Plan, iter int, led *overlapIterState) []*step {
 	rt := e.RT
 	nm := pl.opNames()
 	switch pl.Method {
@@ -90,6 +91,21 @@ func (e *Exchanger) senderSteps(p *sim.Proc, pl *Plan, iter int) []*step {
 		}
 		d2h := pl.sendStream.MemcpyAsync(nm.d2h,
 			pl.hostSend, 0, pl.devSend, 0, pl.Bytes)
+		if led.channeled(pl) {
+			// One Start on the plan's persistent channel; the machine
+			// terminates at payload acceptance and the ACK tail drains in
+			// the background (the send buffer is not re-read after
+			// acceptance — later deliveries of the same sequence number are
+			// deduplicated without touching it — and the next iteration's
+			// pack cannot start before the coordinator passes this
+			// iteration's safe point).
+			return []*step{{sig: d2h, next: func(p *sim.Proc) *step {
+				acc := led.acceptedOf(e, pl)
+				ch := e.W.OpenChannel(e.W.Rank(pl.Src.Rank), e.W.Rank(pl.Dst.Rank), pl.Tag)
+				ch.Start(pl.hostSend, 0, pl.hostRecv, 0, pl.Bytes, acc.Fire, func() {})
+				return &step{sig: acc}
+			}}}
+		}
 		return []*step{{sig: d2h, next: func(p *sim.Proc) *step {
 			req := e.W.Rank(pl.Src.Rank).Isend(pl.Dst.Rank, pl.Tag, pl.hostSend, 0, pl.Bytes)
 			return &step{sig: req.Done()}
@@ -109,8 +125,9 @@ func (e *Exchanger) senderSteps(p *sim.Proc, pl *Plan, iter int) []*step {
 	panic("exchange: unknown method")
 }
 
-// recverSteps issues the receive side of a plan for methods that need one.
-func (e *Exchanger) recverSteps(p *sim.Proc, pl *Plan, iter int) []*step {
+// recverSteps issues the receive side of a plan for methods that need one;
+// led is as for senderSteps.
+func (e *Exchanger) recverSteps(p *sim.Proc, pl *Plan, iter int, led *overlapIterState) []*step {
 	rt := e.RT
 	nm := pl.opNames()
 	switch pl.Method {
@@ -157,8 +174,15 @@ func (e *Exchanger) recverSteps(p *sim.Proc, pl *Plan, iter int) []*step {
 				return &step{sig: up}
 			}}}
 		}
-		req := e.W.Rank(pl.Dst.Rank).Irecv(pl.Src.Rank, pl.Tag, pl.hostRecv, 0, pl.Bytes)
-		return []*step{{sig: req.Done(), next: func(p *sim.Proc) *step {
+		var landed *sim.Signal
+		if led.channeled(pl) {
+			// Released at the channel's payload acceptance, not at the
+			// sender's ACK.
+			landed = led.acceptedOf(e, pl)
+		} else {
+			landed = e.W.Rank(pl.Dst.Rank).Irecv(pl.Src.Rank, pl.Tag, pl.hostRecv, 0, pl.Bytes).Done()
+		}
+		return []*step{{sig: landed, next: func(p *sim.Proc) *step {
 			rt.IssueCost(p)
 			pl.recvStream.MemcpyAsync(nm.h2d,
 				pl.devRecv, 0, pl.hostRecv, 0, pl.Bytes)
@@ -229,27 +253,24 @@ func (d *stepDriver) drain(p *sim.Proc) {
 	}
 }
 
-// runIteration performs one full halo exchange from the perspective of one
-// rank: issue all receive sides, then all send sides, then drive every state
-// machine until completion (§III-D's poll loop).
-func (e *Exchanger) runIteration(p *sim.Proc, rank, iter int) {
-	if e.Opts.NoOverlap {
-		e.runIterationSerial(p, rank, iter)
-		return
-	}
+// issue posts the receive side of every plan in recvs, then the send side of
+// every plan in sends — receives first, so no send can block on an unposted
+// receive — into a fresh step driver for the caller to drain (§III-D's poll
+// loop). With an overlap ledger every machine's completion also counts
+// toward its plan's arrival fan-in.
+func (e *Exchanger) issue(p *sim.Proc, recvs, sends []*Plan, iter int, led *overlapIterState) *stepDriver {
 	d := &stepDriver{gate: sim.NewGate(p)}
-	// Receives first so no send can block on an unposted receive.
-	for _, pl := range e.recvDutiesOf(rank) {
-		for _, st := range e.recverSteps(p, pl, iter) {
-			d.add(st)
+	for _, pl := range recvs {
+		for _, st := range e.recverSteps(p, pl, iter, led) {
+			d.add(led.wrapMachine(pl, st))
 		}
 	}
-	for _, pl := range e.sendDutiesOf(rank) {
-		for _, st := range e.senderSteps(p, pl, iter) {
-			d.add(st)
+	for _, pl := range sends {
+		for _, st := range e.senderSteps(p, pl, iter, led) {
+			d.add(led.wrapMachine(pl, st))
 		}
 	}
-	d.drain(p)
+	return d
 }
 
 // runIterationSerial is the NoOverlap ablation: receives are still posted up
@@ -258,10 +279,10 @@ func (e *Exchanger) runIteration(p *sim.Proc, rank, iter int) {
 func (e *Exchanger) runIterationSerial(p *sim.Proc, rank, iter int) {
 	var recvs []*step
 	for _, pl := range e.recvDutiesOf(rank) {
-		recvs = append(recvs, e.recverSteps(p, pl, iter)...)
+		recvs = append(recvs, e.recverSteps(p, pl, iter, nil)...)
 	}
 	for _, pl := range e.sendDutiesOf(rank) {
-		for _, st := range e.senderSteps(p, pl, iter) {
+		for _, st := range e.senderSteps(p, pl, iter, nil) {
 			e.driveToCompletion(p, st)
 		}
 	}
@@ -278,6 +299,36 @@ func (e *Exchanger) driveToCompletion(p *sim.Proc, st *step) {
 		}
 		st = st.next(p)
 	}
+}
+
+// launchCompute launches one compute kernel per subdomain the rank owns once
+// the exchange and its safe point are behind it (barrier mode).
+func (e *Exchanger) launchCompute(p *sim.Proc, rank int, compute func(*Sub)) []*sim.Signal {
+	if e.verifier != nil && e.Opts.RealData {
+		// Compute mutates send regions and halos. Without this barrier a
+		// non-coordinator rank would launch its kernels right after the
+		// allreduce, racing the coordinator's verification: quadrant
+		// checksums would compare post-compute send regions against
+		// pre-compute halos, and a re-exchange could write post-compute
+		// bytes into a neighbor's halo mid-iteration. Hold every rank
+		// until the coordinator finishes its safe-point duties.
+		e.W.Barrier(p)
+	}
+	// Ownership is re-read every iteration: AdaptPlacement (or a recovery
+	// migration) may move a subdomain to another rank's GPU mid-run.
+	var done []*sim.Signal
+	for _, s := range e.Subs {
+		if s.Rank != rank {
+			continue
+		}
+		s := s
+		bytes := int64(s.Dom.Size.Vol()) * int64(e.Opts.ElemSize) * int64(e.Opts.Quantities)
+		e.RT.LaunchCost(p)
+		done = append(done, s.kernelStream.Kernel(
+			fmt.Sprintf("compute.%v", s.Global), bytes, e.M.Params.PackBW,
+			func() { compute(s) }))
+	}
+	return done
 }
 
 func (e *Exchanger) sendDutiesOf(rank int) []*Plan {
@@ -322,9 +373,7 @@ func (e *Exchanger) Run(iterations int) *Stats {
 //
 // With Options.CheckpointEvery > 0 the run additionally takes periodic
 // checkpoints and survives permanent GPU/rank loss by rolling every rank
-// back to the last checkpoint epoch (see recover.go). The recovery-capable
-// loop is a superset of the plain one; CheckpointEvery == 0 keeps the
-// original control flow so fault-free timings stay bit-identical.
+// back to the last checkpoint epoch (see recover.go).
 func (e *Exchanger) RunWithCompute(iterations int, compute func(*Sub)) *Stats {
 	if iterations < 1 {
 		panic("exchange: Run with no iterations")
@@ -355,80 +404,80 @@ func (e *Exchanger) RunWithCompute(iterations int, compute func(*Sub)) *Stats {
 		e.rec = rc
 	}
 
-	// body is one iteration from one rank's perspective: exchange, timing
-	// allreduce, coordinator duties at the safe point, then compute.
-	body := func(p *sim.Proc, rank, it int) {
-		t0 := e.W.Wtime()
-		e.runIteration(p, rank, it)
-		dt := e.W.Wtime() - t0
-		maxDt := ar.MaxFloat(p, dt)
-		if rank == e.coordRank {
-			times[it] = maxDt
+	// safePoint runs the coordinator's per-iteration duties. Every rank has
+	// passed the timing allreduce but none can leave the next loop-top
+	// barrier until the coordinator enters it, so no send region is re-packed
+	// while its quadrant is checked, re-specialized, or checkpointed.
+	// Verification runs first: adaptation and checkpoints must see (and
+	// snapshot) repaired halos. led is the iteration's overlap ledger, nil in
+	// barrier mode.
+	safePoint := func(p *sim.Proc, it int, t0, maxDt sim.Time, led *overlapIterState) {
+		times[it] = maxDt
+		if tel != nil {
+			// The coordinator records the iteration on everyone's behalf:
+			// the span covers [t0, t0 + max-across-ranks], the same quantity
+			// the paper reports per iteration.
+			feature := telemetry.FeatureBaseline
+			if led != nil {
+				feature = telemetry.FeatureOverlap
+			}
+			sp := tel.StartSpanFeature("exchange", runSpan, t0, feature)
+			sp.End(t0+maxDt, telemetry.L("iter", strconv.Itoa(it)))
+			tel.Counter("exchange_iterations_total").Inc()
+			tel.Histogram("exchange_iteration_seconds", telemetry.SecondsBuckets).Observe(maxDt)
+		}
+		if led != nil {
+			// The verify pump checked each quadrant as it arrived. Every
+			// rank took its reference to the ledger at body start (the
+			// allreduce proves it); drop it so long runs stay bounded.
+			led.allVerified.Wait(p)
+			delete(e.overlapStates, it)
+		} else if e.verifier != nil && e.Opts.RealData {
+			e.verifyRounds(p, it, e.verifier.scan)
+		}
+		if e.Opts.Adaptive && (it+1)%e.adaptEvery() == 0 {
 			if tel != nil {
-				// The coordinator records the iteration on everyone's
-				// behalf: the span covers [t0, t0 + max-across-ranks], the
-				// same quantity the paper reports per iteration.
-				sp := tel.StartSpanFeature("exchange", runSpan, t0, telemetry.FeatureBaseline)
-				sp.End(t0+maxDt, telemetry.L("iter", strconv.Itoa(it)))
-				tel.Counter("exchange_iterations_total").Inc()
-				tel.Histogram("exchange_iteration_seconds", telemetry.SecondsBuckets).Observe(maxDt)
+				asp := tel.StartSpanFeature("adapt", runSpan, e.Eng.Now(), telemetry.FeatureAdapt)
+				e.adaptTick(p)
+				asp.End(e.Eng.Now())
+			} else {
+				e.adaptTick(p)
 			}
-			// Safe point: every rank has passed the allreduce but none can
-			// leave the next barrier until the coordinator enters it, so no
-			// plan is mid-flight while we verify, re-specialize, or
-			// checkpoint. Verification runs first: adaptation and checkpoints
-			// must see (and snapshot) repaired halos.
-			if e.verifier != nil {
-				e.verifyTick(p, it)
-			}
-			if e.Opts.Adaptive && (it+1)%e.adaptEvery() == 0 {
-				if tel != nil {
-					asp := tel.StartSpanFeature("adapt", runSpan, e.Eng.Now(), telemetry.FeatureAdapt)
-					e.adaptTick(p)
-					asp.End(e.Eng.Now())
-				} else {
-					e.adaptTick(p)
-				}
-			}
-			if rc != nil {
-				rc.atSafePoint(it)
-			}
-			e.pollPreempt()
 		}
-		if compute == nil {
-			return
+		if rc != nil {
+			rc.atSafePoint(it)
 		}
-		if e.verifier != nil && e.Opts.RealData {
-			// Compute mutates send regions and halos. Without this barrier a
-			// non-coordinator rank would launch its kernels right after the
-			// allreduce, racing the coordinator's verification: quadrant
-			// checksums would compare post-compute send regions against
-			// pre-compute halos, and a re-exchange could write post-compute
-			// bytes into a neighbor's halo mid-iteration. Hold every rank
-			// until the coordinator finishes its safe-point duties.
-			e.W.Barrier(p)
-		}
-		// Ownership is re-read every iteration: AdaptPlacement (or a
-		// recovery migration) may move a subdomain to another rank's GPU
-		// mid-run.
-		var done []*sim.Signal
-		for _, s := range e.Subs {
-			if s.Rank != rank {
-				continue
-			}
-			s := s
-			bytes := int64(s.Dom.Size.Vol()) * int64(e.Opts.ElemSize) * int64(e.Opts.Quantities)
-			e.RT.LaunchCost(p)
-			done = append(done, s.kernelStream.Kernel(
-				fmt.Sprintf("compute.%v", s.Global), bytes, e.M.Params.PackBW,
-				func() { compute(s) }))
-		}
-		sim.WaitAll(p, done...)
+		e.pollPreempt()
 	}
-	if e.Opts.Overlap {
-		// Pipelined per-quadrant iteration body (overlap.go): same loop
-		// skeleton, no global verification barrier.
-		body = e.overlapBody(times, ar, runSpan, rc, compute)
+
+	// body is one iteration from one rank's perspective: exchange, timing
+	// allreduce, the coordinator's safe point, then compute. Overlap mode
+	// launches compute between issuing and draining the exchange
+	// (overlap.go); barrier mode launches it after the safe point.
+	body := func(p *sim.Proc, rank, it int) {
+		var led *overlapIterState
+		if e.Opts.Overlap {
+			led = e.overlapState(it)
+		}
+		t0 := e.W.Wtime()
+		var computeDone []*sim.Signal
+		if e.Opts.NoOverlap {
+			e.runIterationSerial(p, rank, it)
+		} else {
+			d := e.issue(p, e.recvDutiesOf(rank), e.sendDutiesOf(rank), it, led)
+			if led != nil && compute != nil {
+				computeDone = e.launchOverlapCompute(p, rank, led, compute)
+			}
+			d.drain(p)
+		}
+		maxDt := ar.MaxFloat(p, e.W.Wtime()-t0)
+		if rank == e.coordRank {
+			safePoint(p, it, t0, maxDt, led)
+		}
+		if led == nil && compute != nil {
+			computeDone = e.launchCompute(p, rank, compute)
+		}
+		sim.WaitAll(p, computeDone...)
 	}
 
 	for r := 0; r < e.W.Size(); r++ {
@@ -436,49 +485,43 @@ func (e *Exchanger) RunWithCompute(iterations int, compute func(*Sub)) *Stats {
 			continue
 		}
 		rank := r
+		// Every loop-top barrier doubles as the recovery line when the run
+		// can recover: on a pending plan, dead ranks exit the job, the
+		// (re-elected) coordinator performs the rollback, and all survivors
+		// resume from the checkpoint epoch's iteration. Checkpoints run as a
+		// collective between the recovery line and the iteration body: the
+		// schedule is a pure function of the iteration number, so every rank
+		// knows one is due; the coordinator drives the D2H flows while
+		// everyone else parks at the closing barrier, which guarantees the
+		// snapshot is taken at a globally quiescent instant (epoch 0, before
+		// the first iteration, snapshots the pristine initial state). A
+		// recovering run passes one more recovery line after its last
+		// iteration; without recovery the loop makes exactly the barrier,
+		// stop check and body calls of each iteration.
 		e.Eng.Spawn(fmt.Sprintf("rank%d", rank), func(p *sim.Proc) {
-			if rc == nil {
-				for it := 0; it < iterations; it++ {
-					e.W.Barrier(p)
-					if e.stopped {
-						return
-					}
-					body(p, rank, it)
-				}
-				return
-			}
-			// The recovery-capable loop: every barrier doubles as the
-			// recovery line. On a pending plan, dead ranks exit the job,
-			// the (re-elected) coordinator performs the rollback, and all
-			// survivors resume from the checkpoint epoch's iteration.
-			// Checkpoints run as a collective between the recovery line and
-			// the iteration body: the schedule is a pure function of the
-			// iteration number, so every rank knows one is due; the
-			// coordinator drives the D2H flows while everyone else parks at
-			// the closing barrier, which guarantees the snapshot is taken
-			// at a globally quiescent instant (epoch 0, before the first
-			// iteration, snapshots the pristine initial state).
 			it, lastHandled := 0, 0
-			for {
+			for rc != nil || it < iterations {
 				e.W.Barrier(p)
 				if e.stopped {
 					return
 				}
-				exit, resume := rc.atRecoveryLine(p, rank, &lastHandled)
-				if exit {
-					return
-				}
-				if resume >= 0 {
-					it = resume
-				}
-				if it >= iterations {
-					break
-				}
-				if rc.checkpointDue(it) {
-					if rank == e.coordRank {
-						rc.checkpoint(p, it)
+				if rc != nil {
+					exit, resume := rc.atRecoveryLine(p, rank, &lastHandled)
+					if exit {
+						return
 					}
-					e.W.Barrier(p)
+					if resume >= 0 {
+						it = resume
+					}
+					if it >= iterations {
+						return
+					}
+					if rc.checkpointDue(it) {
+						if rank == e.coordRank {
+							rc.checkpoint(p, it)
+						}
+						e.W.Barrier(p)
+					}
 				}
 				body(p, rank, it)
 				it++

@@ -87,22 +87,21 @@ func (v *verifier) forceRepair(pl *Plan) {
 	pl.Dst.Dom.Unpack(buf, neg(pl.Dir))
 }
 
-// verifyTick runs on the coordinator at the inter-iteration safe point,
-// before adaptation: every rank has passed the timing allreduce and none can
-// leave the next barrier, so no plan is mid-flight while quadrants are
-// checksummed and re-exchanged. Compute kernels are gated on the same safe
-// point (RunWithCompute holds every rank at a barrier until the coordinator
-// finishes), so the checksummed regions cannot mutate under the scan.
-func (e *Exchanger) verifyTick(p *sim.Proc, iter int) {
-	if !e.Opts.RealData {
-		return // nothing to checksum in time-only mode
-	}
+// verifyRounds checks and repairs quadrants in rounds until find reports
+// none damaged. Barrier mode runs it on the coordinator at the safe point
+// with a scan of every plan: every rank has passed the timing allreduce and
+// none can leave the next barrier, and compute kernels are held at a barrier
+// until the coordinator finishes, so nothing mutates the checksummed regions.
+// Overlap mode's verify pump runs it per plan as the plan arrives. Each round
+// re-exchanges the damaged quadrants selectively; from round
+// verifyMaxRounds on they are repaired out-of-band instead.
+func (e *Exchanger) verifyRounds(p *sim.Proc, iter int, find func() []*Plan) {
 	v := e.verifier
 	tel := e.Opts.Telemetry
 	if tel != nil {
-		// Ledger-only attribution (no span, no event): the whole safe-point
-		// stall — checksum epsilons, re-exchange rounds, out-of-band repairs
-		// — is virtual time the verify feature added to the iteration.
+		// Ledger-only attribution (no span, no event): the checksum
+		// epsilons, re-exchange rounds and out-of-band repairs are virtual
+		// time the verify feature added.
 		t0 := e.Eng.Now()
 		defer func() { tel.AttributeSeconds(telemetry.FeatureVerify, e.Eng.Now()-t0) }()
 	}
@@ -113,7 +112,7 @@ func (e *Exchanger) verifyTick(p *sim.Proc, iter int) {
 	eps := e.M.Params.MPIInterLatency
 	for round := 0; ; round++ {
 		p.Sleep(eps)
-		bad := v.scan()
+		bad := find()
 		if len(bad) == 0 {
 			return
 		}
@@ -128,29 +127,19 @@ func (e *Exchanger) verifyTick(p *sim.Proc, iter int) {
 			if tel != nil {
 				tel.VerifyRound(now, iter, round, len(bad), true)
 			}
-			continue // the next scan confirms the repair and returns
+			continue // the next pass confirms the repair and returns
 		}
 		if tel != nil {
 			tel.VerifyRound(now, iter, round, len(bad), false)
 		}
 		e.Eng.Tracef("verify: iter %d round %d: re-exchanging %d quadrants", iter, round, len(bad))
 		// Selective re-exchange through the ordinary plan machinery under a
-		// fresh iteration key (group rendezvous state must not collide with
-		// real iterations). Receives first, as in runIteration.
+		// fresh iteration key: group rendezvous state must not collide with
+		// real iterations, and no key this high has an overlap ledger, so
+		// every plan takes its classic (non-channel) path.
 		key := v.nextKey
 		v.nextKey++
-		d := &stepDriver{gate: sim.NewGate(p)}
-		for _, pl := range bad {
-			for _, st := range e.recverSteps(p, pl, key) {
-				d.add(st)
-			}
-		}
-		for _, pl := range bad {
-			for _, st := range e.senderSteps(p, pl, key) {
-				d.add(st)
-			}
-		}
-		d.drain(p)
+		e.issue(p, bad, bad, key, nil).drain(p)
 		v.reexchanges += len(bad)
 		if e.RT.OnOp != nil {
 			end := e.Eng.Now()

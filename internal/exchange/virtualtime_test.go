@@ -57,11 +57,13 @@ func TestVirtualTimePinned(t *testing.T) {
 // engine and transport refactors are held to bit-identical timing on each
 // of them: intra-node shared memory, NIC sends under timeout retries, the
 // CUDA-aware transport (plain and under the reliable envelope), persistent
-// channels under the reliable envelope with overlap on a lossy network, and
-// progress-engine pauses. Each case also pins a hash of its op timeline —
-// every CUDA op and host staging copy in recording order, with its float64
-// start and end bits — which also fixes the order of same-instant work, and
-// checks that its path was actually taken.
+// channels under the reliable envelope with overlap on a lossy network,
+// progress-engine pauses, and the verifier's forced out-of-band repair in
+// both barrier and overlap mode with compute kernels interleaved. Each case
+// also pins a hash of its op timeline — every CUDA op and host staging copy
+// in recording order, with its float64 start and end bits — which also fixes
+// the order of same-instant work, and checks that its path was actually
+// taken.
 func TestVirtualTimePinnedPaths(t *testing.T) {
 	lossy := func(seed uint64) *fault.Scenario {
 		sc := &fault.Scenario{Name: "lossy", Seed: seed}
@@ -70,13 +72,33 @@ func TestVirtualTimePinnedPaths(t *testing.T) {
 		}
 		return sc
 	}
+	// forced corrupts every inter-node delivery and allows a single retry, so
+	// every damaged quadrant reaches the verifier's out-of-band repair; the
+	// run interleaves a no-op compute, which puts the compute kernels into
+	// the op timeline.
+	forced := func(overlap bool) Options {
+		o := lossyOpts(false)
+		o.Overlap = overlap
+		o.SendRetries = 1
+		o.Fault = &fault.Scenario{Name: "corrupt-all"}
+		for n := 0; n < 2; n++ {
+			o.Fault.LossyNIC(0, n, 0, 1, 0)
+		}
+		return o
+	}
+	checkForced := func(t *testing.T, st *Stats) {
+		if st.ForcedRepairs == 0 {
+			t.Error("no quadrant was repaired out-of-band; the forced-repair branch was not taken")
+		}
+	}
 	cases := []struct {
-		name  string
-		opts  Options
-		iters int
-		check func(t *testing.T, st *Stats)
-		want  []uint64
-		ops   uint64 // opTimelineHash of the run
+		name    string
+		opts    Options
+		iters   int
+		compute bool // RunWithCompute with a no-op compute
+		check   func(t *testing.T, st *Stats)
+		want    []uint64
+		ops     uint64 // opTimelineHash of the run
 	}{
 		{
 			name: "shm-1n6r",
@@ -125,6 +147,9 @@ func TestVirtualTimePinnedPaths(t *testing.T) {
 				if st.Delivery.Drops == 0 || st.Delivery.Corrupts == 0 {
 					t.Errorf("delivery faults not exercised: %+v", st.Delivery)
 				}
+				if st.ReExchanges == 0 {
+					t.Error("no quadrant was re-exchanged; the verifier's round loop was not taken")
+				}
 			},
 		},
 		{
@@ -143,6 +168,9 @@ func TestVirtualTimePinnedPaths(t *testing.T) {
 				if st.Delivery.Drops == 0 || st.Delivery.Corrupts == 0 || st.Delivery.Dups == 0 {
 					t.Errorf("delivery faults not exercised: %+v", st.Delivery)
 				}
+				if st.ReExchanges == 0 {
+					t.Error("no quadrant was re-exchanged; the verify pump's round loop was not taken")
+				}
 			},
 		},
 		{
@@ -154,6 +182,24 @@ func TestVirtualTimePinnedPaths(t *testing.T) {
 			iters: 3,
 			want:  []uint64{0x3f47fa695df05104, 0x3f491ca54c11c520, 0x3f468b091e43b818},
 			ops:   0xe91122975c8a3af9,
+		},
+		{
+			name:    "forced-repair-barrier",
+			opts:    forced(false),
+			iters:   2,
+			compute: true,
+			check:   checkForced,
+			want:    []uint64{0x3f5bfdfe201b4e1d, 0x3f5bfdfe201b53d0},
+			ops:     0xeea1ab8857233a0f,
+		},
+		{
+			name:    "forced-repair-overlap",
+			opts:    forced(true),
+			iters:   2,
+			compute: true,
+			check:   checkForced,
+			want:    []uint64{0x3f5cc74c3c43dce1, 0x3f5cc74c3c43dc60},
+			ops:     0x9d9dffdde8c55901,
 		},
 	}
 	for _, c := range cases {
@@ -167,7 +213,12 @@ func TestVirtualTimePinnedPaths(t *testing.T) {
 			if c.opts.RealData {
 				fillGlobal(e)
 			}
-			st := e.Run(c.iters)
+			var st *Stats
+			if c.compute {
+				st = e.RunWithCompute(c.iters, func(*Sub) {})
+			} else {
+				st = e.Run(c.iters)
+			}
 			if c.check != nil {
 				c.check(t, st)
 			}

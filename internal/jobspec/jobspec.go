@@ -144,15 +144,6 @@ func FormatDomain(d stencil.Dim3) string {
 	return fmt.Sprintf("%dx%dx%d", d.X, d.Y, d.Z)
 }
 
-// DomainString renders a domain for human-facing output: "N^3" for cubes,
-// "XxYxZ" otherwise (the form the CLI transcripts use).
-func DomainString(d stencil.Dim3) string {
-	if d.X == d.Y && d.Y == d.Z {
-		return fmt.Sprintf("%d^3", d.X)
-	}
-	return FormatDomain(d)
-}
-
 // ParseCaps parses a capability ladder rung name.
 func ParseCaps(s string) (stencil.Capabilities, error) {
 	switch strings.ToLower(s) {

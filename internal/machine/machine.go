@@ -159,9 +159,6 @@ type Machine struct {
 	Net    *flownet.Network
 	Params Params
 	Nodes  []*Node
-	// fabric is a pair of links modelling the (full-bisection) switch; it
-	// exists so cross-fabric flows have a nonempty path even between NICs.
-	fabricLatency sim.Time
 
 	// Memoized inter-node paths, filled on first use (only endpoint pairs
 	// that actually communicate pay an entry). Same read-only contract as
@@ -179,12 +176,11 @@ func New(eng *sim.Engine, nodes int, cfg NodeConfig, p Params) *Machine {
 		panic(fmt.Sprintf("machine: bad node config %+v", cfg))
 	}
 	m := &Machine{
-		Eng:           eng,
-		Net:           flownet.New(eng),
-		Params:        p,
-		fabricLatency: p.MPIInterLatency,
-		h2hCache:      make(map[[4]int][]*flownet.Link),
-		remCache:      make(map[[4]int][]*flownet.Link),
+		Eng:      eng,
+		Net:      flownet.New(eng),
+		Params:   p,
+		h2hCache: make(map[[4]int][]*flownet.Link),
+		remCache: make(map[[4]int][]*flownet.Link),
 	}
 	for id := 0; id < nodes; id++ {
 		m.Nodes = append(m.Nodes, m.buildNode(id, cfg))
@@ -253,9 +249,6 @@ func (n *Node) buildPathCache() {
 		}
 	}
 }
-
-// FabricLatency is the per-message latency across the inter-node fabric.
-func (m *Machine) FabricLatency() sim.Time { return m.fabricLatency }
 
 // NVLinkPair returns the two directed NVLink links between same-triad GPUs a
 // and b, or (nil, nil) when the pair has no direct NVLink. Fault injection

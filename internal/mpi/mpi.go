@@ -100,7 +100,6 @@ type World struct {
 
 	barrierCount int
 	barrierSig   *sim.Signal
-	collectives  *coll
 
 	// active counts ranks still participating in barriers and allreduces;
 	// deactivated marks ranks evicted by the recovery layer after a
@@ -221,9 +220,7 @@ func (r *Rank) Failed() bool { return r.failed }
 // Allreducer calls complete once every *active* rank has arrived, and the
 // evicted rank must not call them (or Isend/Irecv) again. It must be called
 // at a point where no rank is parked inside a barrier or allreduce —
-// between iterations, at the exchange layer's recovery line. The tree
-// collectives in collectives.go still span the full world and cannot be
-// used after a deactivation.
+// between iterations, at the exchange layer's recovery line.
 func (w *World) Deactivate(id int) {
 	if w.deactivated[id] {
 		return
@@ -659,9 +656,9 @@ func (w *World) Barrier(p *sim.Proc) {
 	sig.Wait(p)
 }
 
-// AllreduceMaxFloat performs an allreduce with the MAX operation over one
-// float64 per rank. It is used by the harness to agree on the slowest rank's
-// exchange time, the quantity the paper reports.
+// allreduceState is one in-flight max-allreduce over one float64 per rank,
+// which the harness uses to agree on the slowest rank's exchange time, the
+// quantity the paper reports.
 type allreduceState struct {
 	count int
 	max   float64

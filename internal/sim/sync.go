@@ -237,10 +237,6 @@ func (r *Resource) Release() {
 // InUse returns the number of currently held units.
 func (r *Resource) InUse() int { return r.inUse }
 
-// QueueLen returns the number of processes and continuations waiting to
-// acquire.
-func (r *Resource) QueueLen() int { return len(r.queue) }
-
 // Use runs fn while holding one unit of the resource.
 func (r *Resource) Use(p *Proc, fn func()) {
 	r.Acquire(p)

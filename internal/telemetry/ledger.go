@@ -15,11 +15,6 @@
 // sampled) allocation counts.
 package telemetry
 
-import (
-	"encoding/json"
-	"io"
-)
-
 // Feature names one attributable subsystem. The zero value ("") means
 // unattributed: spans without a feature do not feed the ledger.
 type Feature string
@@ -175,14 +170,6 @@ func (r *Recorder) selfEntry() LedgerEntry {
 	e.HostAllocs = len(r.counters) + len(r.gauges) + len(r.hists) + len(r.tracks) + e.Events + e.Spans
 	e.HostAllocBytes = bytes
 	return e
-}
-
-// WriteLedger writes the ledger as indented JSON in Features order. The
-// output is deterministic: same run, same bytes.
-func WriteLedger(w io.Writer, entries []LedgerEntry) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(entries)
 }
 
 // The hook→feature mapping for the Recorder's structural probe methods,

@@ -134,7 +134,9 @@ type Config struct {
 	// numeric verification, affordable only for small domains.
 	RealData bool
 
-	// FaceOnly exchanges only the six face neighbors (Fig 1(a) stencils).
+	// FaceOnly exchanges only the six face neighbors (Fig 1(a) stencils):
+	// shorthand for Neighborhood 6, and an error with any other explicit
+	// Neighborhood.
 	FaceOnly bool
 
 	// Neighborhood selects the exchanged direction set by count: 0 or 26 for
@@ -278,6 +280,10 @@ func New(cfg Config) (*DistributedDomain, error) {
 	if cfg.ElemSize == 0 {
 		cfg.ElemSize = 4
 	}
+	nbhd, err := cfg.neighborhood()
+	if err != nil {
+		return nil, err
+	}
 	ex, err := exchange.New(exchange.Options{
 		Nodes:              cfg.Nodes,
 		RanksPerNode:       cfg.RanksPerNode,
@@ -289,8 +295,7 @@ func New(cfg Config) (*DistributedDomain, error) {
 		CUDAAware:          cfg.CUDAAware,
 		NodeAware:          !cfg.TrivialPlacement,
 		RealData:           cfg.RealData,
-		FaceOnly:           cfg.FaceOnly,
-		Neighborhood:       cfg.Neighborhood,
+		Neighborhood:       nbhd,
 		OpenBoundary:       cfg.OpenBoundary,
 		AggregateRemote:    cfg.AggregateRemote,
 		NoOverlap:          cfg.NoOverlap,
@@ -475,7 +480,20 @@ func (cfg Config) Validate() error {
 	if cfg.Quantities < 1 {
 		return fmt.Errorf("stencil: need at least one quantity")
 	}
-	return nil
+	_, err := cfg.neighborhood()
+	return err
+}
+
+// neighborhood folds FaceOnly into the Neighborhood count with jobspec's
+// rule: FaceOnly means 6 and contradicts any other explicit count.
+func (cfg Config) neighborhood() (int, error) {
+	if !cfg.FaceOnly {
+		return cfg.Neighborhood, nil
+	}
+	if cfg.Neighborhood != 0 && cfg.Neighborhood != 6 {
+		return 0, fmt.Errorf("stencil: FaceOnly contradicts Neighborhood %d", cfg.Neighborhood)
+	}
+	return 6, nil
 }
 
 // VirtualTime returns the current simulated clock of the underlying engine,

@@ -241,6 +241,39 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestFaceOnlyFoldsIntoNeighborhood: FaceOnly is shorthand for the
+// 6-direction neighborhood, and New and Validate both reject it alongside
+// any other explicit Neighborhood instead of silently picking one.
+func TestFaceOnlyFoldsIntoNeighborhood(t *testing.T) {
+	for _, nbhd := range []int{0, 6} {
+		cfg := smallConfig()
+		cfg.RealData = false
+		cfg.FaceOnly = true
+		cfg.Neighborhood = nbhd
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("FaceOnly with Neighborhood %d rejected by Validate: %v", nbhd, err)
+		}
+		dd, err := New(cfg)
+		if err != nil {
+			t.Fatalf("FaceOnly with Neighborhood %d rejected by New: %v", nbhd, err)
+		}
+		if n := len(dd.PlanInfos()); n != 6*6 {
+			t.Errorf("FaceOnly with Neighborhood %d: %d plans over 6 subdomains, want 36", nbhd, n)
+		}
+	}
+	for _, nbhd := range []int{18, 26} {
+		cfg := smallConfig()
+		cfg.FaceOnly = true
+		cfg.Neighborhood = nbhd
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("Validate accepted FaceOnly with Neighborhood %d", nbhd)
+		}
+		if _, err := New(cfg); err == nil {
+			t.Errorf("New accepted FaceOnly with Neighborhood %d", nbhd)
+		}
+	}
+}
+
 func TestTraceExposed(t *testing.T) {
 	cfg := smallConfig()
 	cfg.TraceOps = true
