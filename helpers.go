@@ -1,7 +1,9 @@
 package stencil
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"github.com/nodeaware/stencil/internal/exchange"
 )
@@ -14,19 +16,35 @@ import (
 // (x, y, z).
 type FillFunc func(q, x, y, z int) float32
 
-// Fill initializes every interior cell of every subdomain from f. Requires
-// Config.RealData.
+// Fill initializes every interior cell of every subdomain from f. Each
+// interior x-run is written through one row slice, one float32 per cell (the
+// first 4 bytes of each ElemSize-byte cell, as Subdomain.Set writes it).
+// Requires Config.RealData.
 func (dd *DistributedDomain) Fill(f FillFunc) {
+	dd.requireRealData("Fill")
+	es := dd.cfg.ElemSize
 	for _, s := range dd.subs {
+		dom := s.sub.Dom
 		for q := 0; q < dd.cfg.Quantities; q++ {
 			for z := 0; z < s.Size.Z; z++ {
+				gz := s.Origin.Z + z
 				for y := 0; y < s.Size.Y; y++ {
-					for x := 0; x < s.Size.X; x++ {
-						s.Set(q, x, y, z, f(q, s.Origin.X+x, s.Origin.Y+y, s.Origin.Z+z))
+					gy := s.Origin.Y + y
+					row := dom.Row(q, 0, s.Size.X, y, z)
+					for x, off := 0, 0; x < s.Size.X; x, off = x+1, off+es {
+						binary.LittleEndian.PutUint32(row[off:], math.Float32bits(f(q, s.Origin.X+x, gy, gz)))
 					}
 				}
 			}
 		}
+	}
+}
+
+// requireRealData panics unless the domain carries real bytes: op reads or
+// writes cell values, which time-only domains do not store.
+func (dd *DistributedDomain) requireRealData(op string) {
+	if !dd.cfg.RealData {
+		panic(fmt.Sprintf("stencil: %s requires Config.RealData", op))
 	}
 }
 
@@ -46,38 +64,56 @@ func (s *Subdomain) ForEachInterior(fn func(x, y, z int)) {
 // function passed to Fill), honoring the configured boundary conditions:
 // under periodic boundaries coordinates wrap; under open boundaries halo
 // cells outside the domain are skipped. It returns the number of mismatched
-// cells and a description of the first few.
+// cells and a description of the first few. Only halo cells are visited,
+// row by row: whole shell rows where y or z lies outside the interior, and
+// otherwise the Radius cells at each x end. Requires Config.RealData.
 func (dd *DistributedDomain) VerifyHalos(f FillFunc) (bad int, detail string) {
+	dd.requireRealData("VerifyHalos")
 	d := dd.cfg.Domain
+	r, es := dd.cfg.Radius, dd.cfg.ElemSize
 	wrap := func(v, n int) int { return ((v % n) + n) % n }
 	for _, s := range dd.subs {
-		r := dd.cfg.Radius
+		dom := s.sub.Dom
+		// check compares cells [x0, x1) of halo row (y, z) against f.
+		check := func(q, x0, x1, y, z int) {
+			gy, gz := s.Origin.Y+y, s.Origin.Z+z
+			if dd.cfg.OpenBoundary {
+				if gy < 0 || gy >= d.Y || gz < 0 || gz >= d.Z {
+					return
+				}
+			} else {
+				gy, gz = wrap(gy, d.Y), wrap(gz, d.Z)
+			}
+			row := dom.Row(q, x0, x1, y, z)
+			for x, off := x0, 0; x < x1; x, off = x+1, off+es {
+				gx := s.Origin.X + x
+				if dd.cfg.OpenBoundary {
+					if gx < 0 || gx >= d.X {
+						continue
+					}
+				} else {
+					gx = wrap(gx, d.X)
+				}
+				want := f(q, gx, gy, gz)
+				got := math.Float32frombits(binary.LittleEndian.Uint32(row[off:]))
+				if got != want {
+					bad++
+					if bad <= 3 {
+						detail += fmt.Sprintf("sub %v q%d halo (%d,%d,%d): got %g want %g; ",
+							s.GlobalIndex(), q, x, y, z, got, want)
+					}
+				}
+			}
+		}
 		for q := 0; q < dd.cfg.Quantities; q++ {
 			for z := -r; z < s.Size.Z+r; z++ {
 				for y := -r; y < s.Size.Y+r; y++ {
-					for x := -r; x < s.Size.X+r; x++ {
-						interior := x >= 0 && x < s.Size.X && y >= 0 && y < s.Size.Y && z >= 0 && z < s.Size.Z
-						if interior {
-							continue
-						}
-						gx, gy, gz := s.Origin.X+x, s.Origin.Y+y, s.Origin.Z+z
-						if dd.cfg.OpenBoundary {
-							if gx < 0 || gx >= d.X || gy < 0 || gy >= d.Y || gz < 0 || gz >= d.Z {
-								continue
-							}
-						} else {
-							gx, gy, gz = wrap(gx, d.X), wrap(gy, d.Y), wrap(gz, d.Z)
-						}
-						want := f(q, gx, gy, gz)
-						got := s.Get(q, x, y, z)
-						if got != want {
-							bad++
-							if bad <= 3 {
-								detail += fmt.Sprintf("sub %v q%d halo (%d,%d,%d): got %g want %g; ",
-									s.GlobalIndex(), q, x, y, z, got, want)
-							}
-						}
+					if y < 0 || y >= s.Size.Y || z < 0 || z >= s.Size.Z {
+						check(q, -r, s.Size.X+r, y, z)
+						continue
 					}
+					check(q, -r, 0, y, z)
+					check(q, s.Size.X, s.Size.X+r, y, z)
 				}
 			}
 		}

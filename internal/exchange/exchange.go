@@ -300,6 +300,12 @@ type Plan struct {
 	group     *msgGroup
 	aggOffset int64
 
+	// sentSum is checksum.Sum64 of the bytes this plan's pack last
+	// produced, kept for the end-to-end verifier (verify.go) on inter-node
+	// plans of real-data verifying runs. A pack payload writes it; the
+	// verifier reads it in a later instant.
+	sentSum uint64
+
 	// names caches the per-plan op labels (lazily built on first use) so
 	// the per-iteration hot path doesn't re-Sprintf them.
 	names *planNames

@@ -88,7 +88,7 @@ func (e *Exchanger) overlapState(iter int) *overlapIterState {
 		verified: make(map[int]*sim.Signal),
 		ready:    make(map[*Sub]*sim.Fanin),
 	}
-	verifying := e.verifier != nil && e.Opts.RealData
+	verifying := e.verifying()
 	var pump *verifyPump
 	if verifying {
 		pump = &verifyPump{e: e, st: st}

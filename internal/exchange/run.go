@@ -69,8 +69,7 @@ func (e *Exchanger) senderSteps(p *sim.Proc, pl *Plan, iter int, led *overlapIte
 		// the rank pair's shared buffer; the last staging triggers one
 		// combined Isend.
 		rt.LaunchCost(p)
-		pl.sendStream.Kernel(nm.pack, pl.Bytes, e.M.Params.PackBW,
-			func() { pl.Src.Dom.Pack(pl.devSend.Data(), pl.Dir) })
+		pl.sendStream.Kernel(nm.pack, pl.Bytes, e.M.Params.PackBW, e.packPayload(pl))
 		rt.IssueCost(p)
 		if g := pl.group; g != nil {
 			d2h := pl.sendStream.MemcpyAsync(nm.d2h,
@@ -115,8 +114,7 @@ func (e *Exchanger) senderSteps(p *sim.Proc, pl *Plan, iter int, led *overlapIte
 		// pack on the stream; once packed, the device buffer goes straight
 		// to MPI (which internally serializes on the default stream).
 		rt.LaunchCost(p)
-		pack := pl.sendStream.Kernel(nm.pack, pl.Bytes, e.M.Params.PackBW,
-			func() { pl.Src.Dom.Pack(pl.devSend.Data(), pl.Dir) })
+		pack := pl.sendStream.Kernel(nm.pack, pl.Bytes, e.M.Params.PackBW, e.packPayload(pl))
 		return []*step{{sig: pack, next: func(p *sim.Proc) *step {
 			req := e.W.Rank(pl.Src.Rank).Isend(pl.Dst.Rank, pl.Tag, pl.devSend, 0, pl.Bytes)
 			return &step{sig: req.Done()}
@@ -304,7 +302,7 @@ func (e *Exchanger) driveToCompletion(p *sim.Proc, st *step) {
 // launchCompute launches one compute kernel per subdomain the rank owns once
 // the exchange and its safe point are behind it (barrier mode).
 func (e *Exchanger) launchCompute(p *sim.Proc, rank int, compute func(*Sub)) []*sim.Signal {
-	if e.verifier != nil && e.Opts.RealData {
+	if e.verifying() {
 		// Compute mutates send regions and halos. Without this barrier a
 		// non-coordinator rank would launch its kernels right after the
 		// allreduce, racing the coordinator's verification: quadrant
@@ -432,7 +430,7 @@ func (e *Exchanger) RunWithCompute(iterations int, compute func(*Sub)) *Stats {
 			// allreduce proves it); drop it so long runs stay bounded.
 			led.allVerified.Wait(p)
 			delete(e.overlapStates, it)
-		} else if e.verifier != nil && e.Opts.RealData {
+		} else if e.verifying() {
 			e.verifyRounds(p, it, e.verifier.scan)
 		}
 		if e.Opts.Adaptive && (it+1)%e.adaptEvery() == 0 {

@@ -3,6 +3,7 @@ package exchange
 import (
 	"fmt"
 
+	"github.com/nodeaware/stencil/internal/checksum"
 	"github.com/nodeaware/stencil/internal/cudart"
 	"github.com/nodeaware/stencil/internal/sim"
 	"github.com/nodeaware/stencil/internal/telemetry"
@@ -10,15 +11,24 @@ import (
 
 // End-to-end halo verification (the backstop above the MPI reliable-delivery
 // envelope). After each exchange, at the coordinator's safe point, every
-// halo quadrant that crossed the inter-node wire is checksummed on both
-// ends: the sender's send region against the receiver's landed receive
-// region, hashed in the same row order Pack serializes. Quadrants that
-// mismatch — a delivery that exhausted its retransmission budget with a
-// corrupt payload — are selectively re-exchanged through the ordinary plan
-// machinery (and the envelope again), so only the damaged bytes are resent.
-// After verifyMaxRounds of bad luck the remaining quadrants are repaired
-// out-of-band (a direct copy, modelling a reliable side channel), so no
-// corrupted quadrant ever survives an iteration, even at loss probability 1.
+// halo quadrant that crossed the inter-node wire is checked: the bytes the
+// sender packed against the receiver's landed receive region. The pack
+// payload hashes the contiguous packed message as it writes it (packPayload),
+// so the source region is gathered once per exchange, by the pack itself;
+// only the destination is hashed here, in the same row order Pack
+// serializes. Quadrants that mismatch — a delivery that exhausted its
+// retransmission budget with a corrupt payload — are selectively
+// re-exchanged through the ordinary plan machinery (and the envelope again),
+// so only the damaged bytes are resent. After verifyMaxRounds of bad luck
+// the remaining quadrants are repaired out-of-band (a direct copy, modelling
+// a reliable side channel), so no corrupted quadrant ever survives an
+// iteration, even at loss probability 1.
+//
+// Comparing against the packed bytes rather than re-reading the source is
+// exact: RegionChecksum is Sum64 of Pack's serialization, and no send region
+// is written between its pack and its quadrant's verification (barrier mode
+// holds compute at the safe point; overlap mode gates each subdomain's
+// compute on the verified signals of the plans that read its send regions).
 
 // verifyMaxRounds caps selective re-exchange rounds per iteration before the
 // out-of-band repair takes over.
@@ -37,14 +47,33 @@ func newVerifier(e *Exchanger) *verifier {
 	return &verifier{e: e, nextKey: 1 << 30}
 }
 
+// verifying reports whether exchanges are verified end to end: verification
+// is on and there are real bytes to checksum.
+func (e *Exchanger) verifying() bool {
+	return e.verifier != nil && e.Opts.RealData
+}
+
+// packPayload returns the pack kernel payload of an MPI-coupled plan (STAGED
+// or CUDA-aware): pack the send region into the plan's device send buffer.
+// For quadrants the verifier will check it also records the checksum of the
+// packed message, the sender's side of quadrantBad.
+func (e *Exchanger) packPayload(pl *Plan) func() {
+	if !e.verifying() || pl.Src.NodeID == pl.Dst.NodeID {
+		return func() { pl.Src.Dom.Pack(pl.devSend.Data(), pl.Dir) }
+	}
+	return func() {
+		buf := pl.devSend.Data()
+		n := pl.Src.Dom.Pack(buf, pl.Dir)
+		pl.sentSum = checksum.Sum64(buf[:n])
+	}
+}
+
 // quadrantBad reports whether a plan's landed halo differs from what its
-// source holds. Only inter-node plans can be damaged: intra-node methods
+// source sent. Only inter-node plans can be damaged: intra-node methods
 // never cross a lossy wire (loss is sampled by the reliable envelope, which
 // wraps inter-node messages only).
 func (v *verifier) quadrantBad(pl *Plan) bool {
-	want := pl.Src.Dom.RegionChecksum(pl.Src.Dom.SendRegion(pl.Dir))
-	got := pl.Dst.Dom.RegionChecksum(pl.Dst.Dom.RecvRegion(neg(pl.Dir)))
-	return want != got
+	return pl.sentSum != pl.Dst.Dom.RegionChecksum(pl.Dst.Dom.RecvRegion(neg(pl.Dir)))
 }
 
 // scan returns the damaged inter-node plans, expanded to whole aggregate

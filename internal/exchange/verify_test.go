@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/nodeaware/stencil/internal/fault"
+	"github.com/nodeaware/stencil/internal/halo"
 	"github.com/nodeaware/stencil/internal/part"
 	"github.com/nodeaware/stencil/internal/sim"
 )
@@ -78,6 +79,79 @@ func TestVerifyCleanNetworkNoRepairs(t *testing.T) {
 		t.Errorf("clean network produced repairs: %+v re-exchanges %d", st.Delivery, st.ReExchanges)
 	}
 	verifyHalos(t, e)
+}
+
+// TestVerifyCleanNetworkNoRepairsOverlap is the overlap-mode twin with two
+// payload workers: the pipelined verify pump, fed by checksums the pack
+// payloads record on the workers, must find nothing to repair either.
+func TestVerifyCleanNetworkNoRepairsOverlap(t *testing.T) {
+	o := lossyOpts(false)
+	o.Reliable = true
+	o.VerifyExchange = true
+	o.Overlap = true
+	o.Workers = 2
+	e, err := New(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillGlobal(e)
+	st := e.RunWithCompute(3, func(*Sub) {})
+	if st.Delivery.Messages == 0 {
+		t.Error("reliable envelope saw no messages")
+	}
+	if st.Delivery.Retransmits != 0 || st.Delivery.Nacks != 0 || st.VerifyRounds != 0 {
+		t.Errorf("clean network produced repairs: %+v re-exchanges %d rounds %d",
+			st.Delivery, st.ReExchanges, st.VerifyRounds)
+	}
+	verifyHalos(t, e)
+}
+
+// TestQuadrantBadComparesSentWithLanded pins the verifier's contract: a
+// quadrant is bad when the bytes that landed differ from the bytes the
+// sender packed. Damage to the landed receive region is caught; a send
+// region changed after its pack is not, because what was sent still matches
+// what landed. Both MPI-coupled pack paths (STAGED and CUDA-aware) record
+// the sender's checksum.
+func TestQuadrantBadComparesSentWithLanded(t *testing.T) {
+	for _, cudaAware := range []bool{false, true} {
+		o := lossyOpts(cudaAware)
+		o.Reliable = true
+		o.VerifyExchange = true
+		e, err := New(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fillGlobal(e)
+		e.Run(2)
+		inter := 0
+		for _, pl := range e.Plans {
+			if pl.Src.NodeID == pl.Dst.NodeID {
+				continue
+			}
+			inter++
+			if e.verifier.quadrantBad(pl) {
+				t.Fatalf("cuda-aware=%v: plan %d bad after a clean run", cudaAware, pl.ID)
+			}
+			flip := func(d *halo.Domain, reg halo.Region) func() {
+				b := d.At(d.Quantities-1, reg.Hi.X-1, reg.Hi.Y-1, reg.Hi.Z-1)
+				b[0] ^= 0x5a
+				return func() { b[0] ^= 0x5a }
+			}
+			undo := flip(pl.Dst.Dom, pl.Dst.Dom.RecvRegion(neg(pl.Dir)))
+			if !e.verifier.quadrantBad(pl) {
+				t.Errorf("cuda-aware=%v: plan %d: flipped landed byte not detected", cudaAware, pl.ID)
+			}
+			undo()
+			undo = flip(pl.Src.Dom, pl.Src.Dom.SendRegion(pl.Dir))
+			if e.verifier.quadrantBad(pl) {
+				t.Errorf("cuda-aware=%v: plan %d: source changed after its pack reported bad", cudaAware, pl.ID)
+			}
+			undo()
+		}
+		if inter == 0 {
+			t.Fatalf("cuda-aware=%v: no inter-node plans; weak test", cudaAware)
+		}
+	}
 }
 
 // TestLossyDeterminism: the same lossy configuration is bit-identical across

@@ -100,6 +100,17 @@ func (d *Domain) At(q, x, y, z int) []byte {
 	return d.data[q][off : off+d.ElemSize]
 }
 
+// Row returns cells [x0, x1) of row (y, z) of quantity q as one slice into
+// the backing store, ElemSize bytes per cell: At for a whole x-run, bounds
+// checked once. Panics in time-only mode or out of range.
+func (d *Domain) Row(q, x0, x1, y, z int) []byte {
+	if x0 > x1 || x1 > d.Size.X+d.Radius {
+		panic(fmt.Sprintf("halo: row [%d,%d) outside domain %v radius %d", x0, x1, d.Size, d.Radius))
+	}
+	d.checkCoord(x0, y, z)
+	return d.data[q][d.offset(x0, y, z):d.offset(x1, y, z)]
+}
+
 // SendRegion returns the interior strip that must be sent to the neighbor in
 // direction dir: Radius cells deep along each nonzero direction component,
 // the full interior along zero components.

@@ -1,6 +1,7 @@
 package halo
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/rand"
 	"testing"
@@ -277,6 +278,41 @@ func TestAtOutOfRangePanics(t *testing.T) {
 
 // Property: for random domain shapes and all 26 directions, pack-then-unpack
 // into a second identical domain reproduces the source region exactly.
+// TestRowMatchesAt: a row slice is the cells At returns, back to back, for
+// interior and halo runs alike, and its bounds are the shell's.
+func TestRowMatchesAt(t *testing.T) {
+	d := NewDomain(part.Dim3{X: 5, Y: 3, Z: 2}, 2, 2, 8, true)
+	for i := range d.data[1] {
+		d.data[1][i] = byte(i * 7)
+	}
+	for _, c := range []struct{ x0, x1, y, z int }{
+		{0, 5, 0, 0}, {-2, 7, -2, 3}, {-2, 0, 1, 1}, {5, 7, 2, -1}, {3, 3, 0, 0},
+	} {
+		row := d.Row(1, c.x0, c.x1, c.y, c.z)
+		if len(row) != (c.x1-c.x0)*d.ElemSize {
+			t.Fatalf("row %+v: %d bytes", c, len(row))
+		}
+		for x := c.x0; x < c.x1; x++ {
+			off := (x - c.x0) * d.ElemSize
+			if !bytes.Equal(row[off:off+d.ElemSize], d.At(1, x, c.y, c.z)) {
+				t.Errorf("row %+v: cell %d differs from At", c, x)
+			}
+		}
+	}
+	for _, c := range []struct{ x0, x1, y, z int }{
+		{-3, 0, 0, 0}, {0, 8, 0, 0}, {0, 5, 5, 0}, {0, 5, 0, -3}, {2, 1, 0, 0},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("row %+v outside the shell did not panic", c)
+				}
+			}()
+			d.Row(0, c.x0, c.x1, c.y, c.z)
+		}()
+	}
+}
+
 func TestPackUnpackProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

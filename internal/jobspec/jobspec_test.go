@@ -185,6 +185,7 @@ func TestValidateErrors(t *testing.T) {
 		{"overlap vs aggregate", Spec{Nodes: 1, RanksPerNode: 2, Domain: "12", Radius: 1, Quantities: 1, Overlap: true, AggregateRemote: true}, "aggregate_remote"},
 		{"overlap vs adapt_placement", Spec{Nodes: 1, RanksPerNode: 2, Domain: "12", Radius: 1, Quantities: 1, Overlap: true, Adaptive: true, AdaptPlacement: true}, "adapt_placement"},
 		{"overlap vs cuda_aware", Spec{Nodes: 1, RanksPerNode: 2, Domain: "12", Radius: 1, Quantities: 1, Overlap: true, CUDAAware: true}, "cuda_aware"},
+		{"verify with 2-byte cells", Spec{Nodes: 1, RanksPerNode: 2, Domain: "12", Radius: 1, Quantities: 1, Verify: true, ElemSize: 2}, "ElemSize"},
 		{"negative deadline", Spec{Nodes: 1, RanksPerNode: 2, Domain: "12", Radius: 1, Quantities: 1, DeadlineSeconds: -1}, "deadline_s"},
 		{"bad tenant charset", Spec{Nodes: 1, RanksPerNode: 2, Domain: "12", Radius: 1, Quantities: 1, Tenant: "a b"}, "tenant"},
 		{"long tenant", Spec{Nodes: 1, RanksPerNode: 2, Domain: "12", Radius: 1, Quantities: 1, Tenant: strings.Repeat("x", 65)}, "tenant"},

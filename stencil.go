@@ -116,6 +116,8 @@ type Config struct {
 	Quantities int
 
 	// ElemSize is the bytes per value; 0 defaults to 4 (single precision).
+	// With RealData it must be at least 4: Fill, Get, Set and VerifyHalos
+	// store a float32 in each cell's first 4 bytes.
 	ElemSize int
 
 	// Capabilities gates the transfer methods; use CapsAll() for the fully
@@ -279,6 +281,9 @@ type DistributedDomain struct {
 func New(cfg Config) (*DistributedDomain, error) {
 	if cfg.ElemSize == 0 {
 		cfg.ElemSize = 4
+	}
+	if err := cfg.checkRealData(); err != nil {
+		return nil, err
 	}
 	nbhd, err := cfg.neighborhood()
 	if err != nil {
@@ -480,8 +485,20 @@ func (cfg Config) Validate() error {
 	if cfg.Quantities < 1 {
 		return fmt.Errorf("stencil: need at least one quantity")
 	}
+	if err := cfg.checkRealData(); err != nil {
+		return err
+	}
 	_, err := cfg.neighborhood()
 	return err
+}
+
+// checkRealData rejects real-data cells too small for the float32 values
+// Fill, Get, Set and VerifyHalos store in each cell's first 4 bytes.
+func (cfg Config) checkRealData() error {
+	if cfg.RealData && cfg.ElemSize < 4 {
+		return fmt.Errorf("stencil: RealData needs ElemSize >= 4 (cells hold float32 values), got %d", cfg.ElemSize)
+	}
+	return nil
 }
 
 // neighborhood folds FaceOnly into the Neighborhood count with jobspec's

@@ -2,6 +2,7 @@ package stencil
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -238,6 +239,32 @@ func TestValidate(t *testing.T) {
 	bad.Radius = 0
 	if err := bad.Validate(); err == nil {
 		t.Error("zero radius validated")
+	}
+}
+
+// TestRealDataNeedsFourByteCells: real-data cells hold a float32, so New and
+// Validate reject RealData with ElemSize below 4 instead of letting Fill,
+// Get, Set and VerifyHalos index past a short cell; time-only runs and
+// wider cells stay legal.
+func TestRealDataNeedsFourByteCells(t *testing.T) {
+	for _, es := range []int{1, 2, 3} {
+		cfg := smallConfig()
+		cfg.ElemSize = es
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "ElemSize") {
+			t.Errorf("ElemSize %d: Validate error %v, want one naming ElemSize", es, err)
+		}
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "ElemSize") {
+			t.Errorf("ElemSize %d: New error %v, want one naming ElemSize", es, err)
+		}
+		cfg.RealData = false
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("time-only ElemSize %d rejected: %v", es, err)
+		}
+	}
+	cfg := smallConfig()
+	cfg.ElemSize = 8
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("ElemSize 8 rejected: %v", err)
 	}
 }
 
