@@ -44,33 +44,20 @@ type planRes struct {
 	recvStream         *cudart.Stream
 }
 
-func (e *Exchanger) adaptThreshold() float64 {
-	if e.Opts.AdaptThreshold == 0 {
-		return 0.5
-	}
-	return e.Opts.AdaptThreshold
-}
-
-func (e *Exchanger) adaptEvery() int {
-	if e.Opts.AdaptCheckEvery < 1 {
-		return 1
-	}
-	return e.Opts.AdaptCheckEvery
-}
-
-func (e *Exchanger) adaptPersist() int {
-	if e.Opts.AdaptPersistTicks < 1 {
-		return 3
-	}
-	return e.Opts.AdaptPersistTicks
-}
+const (
+	// adaptThreshold is the link-health fraction (live capacity / healthy
+	// capacity) below which a link counts as degraded.
+	adaptThreshold = 0.5
+	// adaptPersistTicks is how many consecutive degraded monitor ticks
+	// trigger AdaptPlacement's re-placement of a node.
+	adaptPersistTicks = 3
+)
 
 // linksHealthy reports whether every link on a path is up, above the
 // degradation threshold, and not quarantined by the health monitor.
 func (e *Exchanger) linksHealthy(path []*flownet.Link) bool {
-	thr := e.adaptThreshold()
 	for _, l := range path {
-		if l.Down() || l.Health() < thr || e.health.quarantined(l) {
+		if l.Down() || l.Health() < adaptThreshold || e.health.quarantined(l) {
 			return false
 		}
 	}
@@ -152,14 +139,13 @@ func (e *Exchanger) pickMethodHealthy(pl *Plan) Method {
 // keys the methodMemo. The mask is exact (no hashing): a collision would
 // silently mis-specialize plans.
 func (e *Exchanger) healthMask() string {
-	thr := e.adaptThreshold()
 	buf := make([]byte, 0, 2*len(e.Plans))
 	state := func(l *flownet.Link) byte {
 		var b byte
 		if l.Down() {
 			b |= 1
 		}
-		if l.Health() < thr {
+		if l.Health() < adaptThreshold {
 			b |= 2
 		}
 		if e.health.quarantined(l) {
@@ -305,11 +291,10 @@ func (e *Exchanger) respecialize() {
 // checkReplacement tracks per-node degradation persistence and re-runs
 // phase-2 placement once per degradation episode.
 func (e *Exchanger) checkReplacement(p *sim.Proc) {
-	thr := e.adaptThreshold()
 	for n := 0; n < e.Opts.Nodes; n++ {
 		degraded := false
 		for _, l := range e.M.Nodes[n].IntraLinks() {
-			if l.Down() || l.Health() < thr {
+			if l.Down() || l.Health() < adaptThreshold {
 				degraded = true
 				break
 			}
@@ -320,7 +305,7 @@ func (e *Exchanger) checkReplacement(p *sim.Proc) {
 			continue
 		}
 		e.degradeStreak[n]++
-		if e.degradeStreak[n] >= e.adaptPersist() && !e.replaceDone[n] {
+		if e.degradeStreak[n] >= adaptPersistTicks && !e.replaceDone[n] {
 			e.replaceDone[n] = true
 			e.replaceNode(p, n)
 		}

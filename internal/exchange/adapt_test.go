@@ -2,6 +2,7 @@ package exchange
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/nodeaware/stencil/internal/fault"
@@ -231,7 +232,6 @@ func TestPickMethodHealthyMatchesSetup(t *testing.T) {
 func TestAdaptPlacement(t *testing.T) {
 	o := adaptOpts(true)
 	o.AdaptPlacement = true
-	o.AdaptPersistTicks = 2
 	e, err := New(o)
 	if err != nil {
 		t.Fatal(err)
@@ -268,21 +268,65 @@ func TestAdaptPlacement(t *testing.T) {
 	verifyHalos(t, e)
 }
 
-// TestAdaptOptionValidation: the knob combinations that cannot work are
-// rejected at construction.
+// TestAdaptOptionValidation: Options.Validate is the admission rule for the
+// adaptation, recovery and retry knobs. Each invalid row is rejected with an
+// error naming the conflicting option, valid rows pass, and New agrees with
+// Validate on every row.
 func TestAdaptOptionValidation(t *testing.T) {
-	bad := []func(*Options){
-		func(o *Options) { o.AdaptPlacement = true },
-		func(o *Options) { o.Adaptive = true; o.AdaptPlacement = true; o.AggregateRemote = true },
-		func(o *Options) { o.AdaptThreshold = 1.5 },
-		func(o *Options) { o.AdaptThreshold = -0.1 },
+	fatal := (&fault.Scenario{Name: "kill"}).KillGPU(1e-3, 0, 1)
+	cases := []struct {
+		name string
+		mod  func(*Options)
+		want string // "" means valid
+	}{
+		{"adaptive", func(o *Options) { o.Adaptive = true }, ""},
+		{"adapt placement", func(o *Options) { o.Adaptive = true; o.AdaptPlacement = true }, ""},
+		{"adapt placement without adaptive", func(o *Options) { o.AdaptPlacement = true }, "Adaptive"},
+		{"adapt placement with aggregation", func(o *Options) {
+			o.Adaptive = true
+			o.AdaptPlacement = true
+			o.AggregateRemote = true
+		}, "AggregateRemote"},
+		{"adapt placement with overlap", func(o *Options) {
+			o.Adaptive = true
+			o.AdaptPlacement = true
+			o.Overlap = true
+		}, "AdaptPlacement"},
+		{"negative checkpoint interval", func(o *Options) { o.CheckpointEvery = -1 }, "CheckpointEvery"},
+		{"fatal fault with checkpoints", func(o *Options) { o.Fault = fatal; o.CheckpointEvery = 2 }, ""},
+		{"fatal fault without checkpoints", func(o *Options) { o.Fault = fatal }, "CheckpointEvery"},
+		{"fatal fault with aggregation", func(o *Options) {
+			o.Fault = fatal
+			o.CheckpointEvery = 2
+			o.AggregateRemote = true
+		}, "AggregateRemote"},
+		{"fatal fault with adapt placement", func(o *Options) {
+			o.Fault = fatal
+			o.CheckpointEvery = 2
+			o.Adaptive = true
+			o.AdaptPlacement = true
+		}, "AdaptPlacement"},
+		{"straggle below 1", func(o *Options) {
+			o.Fault = (&fault.Scenario{}).StraggleGPU(1e-3, 0, 0, 0.5, 0)
+		}, "straggle factor"},
+		{"negative send timeout", func(o *Options) { o.SendTimeout = -1 }, "SendTimeout"},
+		{"negative send retries", func(o *Options) { o.SendRetries = -2 }, "SendRetries"},
+		{"negative quarantine ticks", func(o *Options) { o.QuarantineTicks = -3 }, "QuarantineTicks"},
 	}
-	for i, mod := range bad {
+	for _, tc := range cases {
 		o := smallOpts(2, CapsAll(), false)
 		o.RealData = false
-		mod(&o)
-		if _, err := New(o); err == nil {
-			t.Errorf("case %d: New accepted an invalid adaptation configuration", i)
+		tc.mod(&o)
+		err := o.Validate()
+		if tc.want == "" {
+			if err != nil {
+				t.Errorf("%s: Validate rejected a valid configuration: %v", tc.name, err)
+			}
+		} else if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate error %v, want one naming %s", tc.name, err, tc.want)
+		}
+		if _, nerr := New(o); (nerr == nil) != (err == nil) {
+			t.Errorf("%s: New error %v disagrees with Validate error %v", tc.name, nerr, err)
 		}
 	}
 }

@@ -89,7 +89,7 @@ type Options struct {
 	Caps      Capabilities
 	CUDAAware bool // remote messages use CUDAAWAREMPI instead of STAGED
 	NodeAware bool // QAP placement (true) vs trivial linearized placement
-	RealData  bool // allocate and move real bytes (small domains only)
+	RealData  bool // allocate and move real bytes (small domains only); needs ElemSize >= 4
 
 	// Neighborhood selects the exchanged direction set by count: 0 (default)
 	// or 26 for the full neighborhood, 6 for faces only (Fig 1(a)), 18 for
@@ -159,33 +159,23 @@ type Options struct {
 	// the start of the run. Nil disables injection.
 	Fault *fault.Scenario
 
-	// Adaptive enables the degradation monitor: every AdaptCheckEvery
-	// iterations (at the safe point after the timing allreduce) the health
-	// of every plan's links is scanned and plans whose method crosses a
-	// failed or degraded link are re-specialized down the capability ladder
-	// (PEERMEMCPY falls back to STAGED when its NVLink dies, CUDAAWAREMPI
-	// is demoted while the NIC is down, ...). When the links recover the
-	// plans are promoted back; buffers and streams for every method a plan
-	// has used are cached, so flip-flopping does not leak.
+	// Adaptive enables the degradation monitor: every iteration (at the
+	// safe point after the timing allreduce) the health of every plan's
+	// links is scanned and plans whose method crosses a failed or degraded
+	// link — live capacity below half of healthy — are re-specialized down
+	// the capability ladder (PEERMEMCPY falls back to STAGED when its NVLink
+	// dies, CUDAAWAREMPI is demoted while the NIC is down, ...). When the
+	// links recover the plans are promoted back; buffers and streams for
+	// every method a plan has used are cached, so flip-flopping does not
+	// leak.
 	Adaptive bool
-
-	// AdaptThreshold is the link-health fraction (live capacity / healthy
-	// capacity) below which a link counts as degraded. 0 defaults to 0.5.
-	AdaptThreshold float64
-
-	// AdaptCheckEvery runs the monitor every N iterations. 0 defaults to 1.
-	AdaptCheckEvery int
 
 	// AdaptPlacement additionally re-runs phase-2 placement against the
 	// live (degraded) bandwidth matrix when a node's degradation persists
-	// for AdaptPersistTicks consecutive monitor ticks, migrating subdomains
-	// whose GPU changes (the migration copy is charged on the flow
-	// network). Incompatible with AggregateRemote.
+	// for three consecutive monitor ticks, migrating subdomains whose GPU
+	// changes (the migration copy is charged on the flow network). Requires
+	// Adaptive; incompatible with AggregateRemote.
 	AdaptPlacement bool
-
-	// AdaptPersistTicks is the persistence horizon for AdaptPlacement.
-	// 0 defaults to 3.
-	AdaptPersistTicks int
 
 	// CheckpointEvery enables the recovery layer: every K iterations (plus
 	// once before the first iteration) each subdomain's full state is
@@ -207,7 +197,8 @@ type Options struct {
 	SendTimeout sim.Time
 
 	// SendRetries caps the abort/re-send cycles per message. 0 defaults
-	// to 8 (when SendTimeout is set).
+	// to mpi.DefaultSendRetries (when SendTimeout is set); negative is an
+	// error.
 	SendRetries int
 
 	// Reliable forces the MPI reliable-delivery envelope for inter-node
@@ -449,14 +440,47 @@ type slotKey struct {
 	iter int
 }
 
-// New builds the job: machine and runtimes, hierarchical partition, per-node
-// placement, subdomain allocation, and one plan per (subdomain, direction).
-func New(opts Options) (*Exchanger, error) {
+// neighborhoods maps every legal Options.Neighborhood to its direction set.
+var neighborhoods = map[int]func() []part.Dim3{
+	0:  part.Directions26,
+	26: part.Directions26,
+	6:  part.Directions6,
+	18: part.Directions18,
+}
+
+// nodeConfig is the node shape the options select: NodeConfig, or Summit.
+func (opts Options) nodeConfig() machine.NodeConfig {
+	if opts.NodeConfig != nil {
+		return *opts.NodeConfig
+	}
+	return machine.SummitNode()
+}
+
+// Validate reports whether New accepts the options, without building the
+// job. It is the simulator's one admission rule: every check New makes
+// before it builds the engine lives here, so a nil error means New succeeds
+// — except when a fault event targets hardware the machine lacks (a node,
+// GPU, socket or rank out of range, or an NVLink or X-Bus pair that does not
+// exist), which only fault.Injector.Install can see.
+func (opts Options) Validate() error {
+	_, err := opts.validate()
+	return err
+}
+
+// validate is Validate returning the partition it checked, which New builds
+// the job on.
+func (opts Options) validate() (*part.Hier, error) {
 	if opts.Nodes < 1 || opts.RanksPerNode < 1 {
 		return nil, fmt.Errorf("exchange: %d nodes, %d ranks/node", opts.Nodes, opts.RanksPerNode)
 	}
 	if opts.Radius < 1 || opts.Quantities < 1 || opts.ElemSize < 1 {
-		return nil, fmt.Errorf("exchange: bad stencil params r=%d q=%d e=%d", opts.Radius, opts.Quantities, opts.ElemSize)
+		return nil, fmt.Errorf("exchange: bad stencil params radius=%d quantities=%d elemsize=%d (each must be >= 1)",
+			opts.Radius, opts.Quantities, opts.ElemSize)
+	}
+	// Real-data cells hold a float32 in their first 4 bytes (the root
+	// package's Fill, Get, Set and VerifyHalos index them that way).
+	if opts.RealData && opts.ElemSize < 4 {
+		return nil, fmt.Errorf("exchange: RealData needs ElemSize >= 4 (cells hold float32 values), got %d", opts.ElemSize)
 	}
 	if opts.AdaptPlacement && !opts.Adaptive {
 		return nil, fmt.Errorf("exchange: AdaptPlacement requires Adaptive")
@@ -478,34 +502,44 @@ func New(opts Options) (*Exchanger, error) {
 			return nil, fmt.Errorf("exchange: Overlap is incompatible with CUDAAware (device-wide MPI synchronization would deadlock against gated border kernels)")
 		}
 	}
-	if opts.AdaptThreshold < 0 || opts.AdaptThreshold > 1 {
-		return nil, fmt.Errorf("exchange: AdaptThreshold %g outside [0, 1]", opts.AdaptThreshold)
-	}
 	if opts.CheckpointEvery < 0 {
 		return nil, fmt.Errorf("exchange: CheckpointEvery %d < 0", opts.CheckpointEvery)
 	}
-	if opts.Fault != nil && opts.Fault.HasFatal() {
-		if opts.CheckpointEvery < 1 {
-			return nil, fmt.Errorf("exchange: fatal fault events (GPUFail/RankFail) require CheckpointEvery > 0")
+	if opts.SendTimeout < 0 {
+		return nil, fmt.Errorf("exchange: SendTimeout %g < 0", opts.SendTimeout)
+	}
+	if opts.SendRetries < 0 {
+		return nil, fmt.Errorf("exchange: SendRetries %d < 0 (0 means the default, %d)", opts.SendRetries, mpi.DefaultSendRetries)
+	}
+	if opts.QuarantineTicks < 0 {
+		return nil, fmt.Errorf("exchange: QuarantineTicks %d < 0", opts.QuarantineTicks)
+	}
+	if opts.Fault != nil {
+		if err := opts.Fault.Validate(); err != nil {
+			return nil, err
 		}
-		if opts.AggregateRemote {
-			return nil, fmt.Errorf("exchange: fatal fault events are incompatible with AggregateRemote (aggregated messages pin rank pairs)")
-		}
-		if opts.AdaptPlacement {
-			return nil, fmt.Errorf("exchange: fatal fault events are incompatible with AdaptPlacement (recovery owns re-placement)")
+		if opts.Fault.HasFatal() {
+			if opts.CheckpointEvery < 1 {
+				return nil, fmt.Errorf("exchange: fatal fault events (GPUFail/RankFail) require CheckpointEvery > 0")
+			}
+			if opts.AggregateRemote {
+				return nil, fmt.Errorf("exchange: fatal fault events are incompatible with AggregateRemote (aggregated messages pin rank pairs)")
+			}
+			if opts.AdaptPlacement {
+				return nil, fmt.Errorf("exchange: fatal fault events are incompatible with AdaptPlacement (recovery owns re-placement)")
+			}
 		}
 	}
-	nodeCfg := machine.SummitNode()
-	if opts.NodeConfig != nil {
-		nodeCfg = *opts.NodeConfig
-	}
-	params := machine.DefaultParams()
-	if opts.Params != nil {
-		params = *opts.Params
+	nodeCfg := opts.nodeConfig()
+	if nodeCfg.Sockets < 1 || nodeCfg.GPUsPerSocket < 1 {
+		return nil, fmt.Errorf("exchange: node config %+v needs at least one socket and one GPU per socket", nodeCfg)
 	}
 	gpusPerNode := nodeCfg.GPUs()
 	if gpusPerNode%opts.RanksPerNode != 0 {
 		return nil, fmt.Errorf("exchange: %d GPUs/node not divisible by %d ranks/node", gpusPerNode, opts.RanksPerNode)
+	}
+	if neighborhoods[opts.Neighborhood] == nil {
+		return nil, fmt.Errorf("exchange: neighborhood %d (want 6, 18, or 26)", opts.Neighborhood)
 	}
 
 	if pp := opts.PresetPlacement; pp != nil {
@@ -526,6 +560,33 @@ func New(opts Options) (*Exchanger, error) {
 		}
 	}
 
+	h, err := part.NewHier(opts.Domain, opts.Nodes, gpusPerNode)
+	if err != nil {
+		return nil, err
+	}
+	// A halo exchange reads a send region radius cells deep; a subdomain
+	// thinner than the radius would silently pack stale halo bytes.
+	if thin := h.Thinnest(); thin.X < opts.Radius || thin.Y < opts.Radius || thin.Z < opts.Radius {
+		return nil, fmt.Errorf("exchange: smallest subdomain extents %v thinner than radius %d; use fewer partitions or a larger domain",
+			thin, opts.Radius)
+	}
+	return h, nil
+}
+
+// New builds the job: machine and runtimes, hierarchical partition, per-node
+// placement, subdomain allocation, and one plan per (subdomain, direction).
+// It fails exactly when Validate does, or when a fault event targets
+// hardware the machine lacks.
+func New(opts Options) (*Exchanger, error) {
+	h, err := opts.validate()
+	if err != nil {
+		return nil, err
+	}
+	nodeCfg := opts.nodeConfig()
+	params := machine.DefaultParams()
+	if opts.Params != nil {
+		params = *opts.Params
+	}
 	eng := sim.NewEngine()
 	eng.SetWorkers(opts.Workers)
 	m := machine.New(eng, opts.Nodes, nodeCfg, params)
@@ -564,17 +625,9 @@ func New(opts Options) (*Exchanger, error) {
 		// children (partition/placement/specialization) stay untagged so
 		// setup time is not double-counted in the ledger.
 		setupSpan = tel.StartSpanFeature("setup", nil, eng.Now(), telemetry.FeatureBaseline)
-	}
-	var partSpan *telemetry.Span
-	if tel != nil {
-		partSpan = tel.StartSpan("setup.partition", setupSpan, eng.Now())
-	}
-	h, err := part.NewHier(opts.Domain, opts.Nodes, gpusPerNode)
-	if err != nil {
-		return nil, err
-	}
-	if partSpan != nil {
-		partSpan.End(eng.Now())
+		// validate computed the partition; its span stays in the setup tree
+		// so the phase breakdown keeps all three phases.
+		tel.StartSpan("setup.partition", setupSpan, eng.Now()).End(eng.Now())
 	}
 
 	e := &Exchanger{
@@ -584,21 +637,12 @@ func New(opts Options) (*Exchanger, error) {
 		W:             w,
 		Hier:          h,
 		Opts:          opts,
-		gpusPerRank:   gpusPerNode / opts.RanksPerNode,
+		gpusPerRank:   nodeCfg.GPUs() / opts.RanksPerNode,
 		slots:         make(map[slotKey]*sim.Signal),
 		groupStates:   make(map[slotKey]*groupState),
 		overlapStates: make(map[int]*overlapIterState),
 	}
-	switch opts.Neighborhood {
-	case 0, 26:
-		e.dirs = part.Directions26()
-	case 6:
-		e.dirs = part.Directions6()
-	case 18:
-		e.dirs = part.Directions18()
-	default:
-		return nil, fmt.Errorf("exchange: neighborhood %d (want 6, 18, or 26)", opts.Neighborhood)
-	}
+	e.dirs = neighborhoods[opts.Neighborhood]()
 	if opts.TraceOps || tel != nil {
 		rt.OnOp = func(r cudart.OpRecord) {
 			if opts.TraceOps {
@@ -638,16 +682,6 @@ func New(opts Options) (*Exchanger, error) {
 		specSpan.End(eng.Now(), tags...)
 	}
 	e.SetupPlanWall = time.Since(planStart)
-
-	// A halo exchange reads a send region radius cells deep; a subdomain
-	// thinner than the radius would silently pack stale halo bytes.
-	for _, s := range e.Subs {
-		sz := s.Dom.Size
-		if sz.X < opts.Radius || sz.Y < opts.Radius || sz.Z < opts.Radius {
-			return nil, fmt.Errorf("exchange: subdomain %v size %v thinner than radius %d; use fewer partitions or a larger domain",
-				s.Global, sz, opts.Radius)
-		}
-	}
 
 	e.degradeStreak = make([]int, opts.Nodes)
 	e.replaceDone = make([]bool, opts.Nodes)

@@ -433,7 +433,7 @@ func (e *Exchanger) RunWithCompute(iterations int, compute func(*Sub)) *Stats {
 		} else if e.verifying() {
 			e.verifyRounds(p, it, e.verifier.scan)
 		}
-		if e.Opts.Adaptive && (it+1)%e.adaptEvery() == 0 {
+		if e.Opts.Adaptive {
 			if tel != nil {
 				asp := tel.StartSpanFeature("adapt", runSpan, e.Eng.Now(), telemetry.FeatureAdapt)
 				e.adaptTick(p)

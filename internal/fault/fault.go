@@ -327,40 +327,90 @@ func (s *Scenario) FlapNICPeriodic(t sim.Time, node int, period sim.Time, duty f
 }
 
 // Validate statically checks the scenario without a machine: every event
-// must have a known Kind and non-negative At, Factor, and Duration.
-// Injector.Install runs it automatically (before the machine-shape checks);
-// callers composing scenarios programmatically can call it early for better
-// error locality.
+// must have a known Kind, a non-negative At, a Factor and Duration in the
+// range its kind gives them meaning in, and the target kind its kind acts
+// on. Only the machine-shape checks (node, GPU, socket and rank ranges,
+// existing NVLink and X-Bus pairs) wait for Injector.Install, which runs
+// Validate first.
 func (s *Scenario) Validate() error {
 	for i, ev := range s.Events {
-		if ev.Kind < 0 || ev.Kind >= numKinds {
-			return fmt.Errorf("fault: scenario %q event %d: unknown kind %d", s.Name, i, int(ev.Kind))
+		if err := ev.validate(); err != nil {
+			return fmt.Errorf("fault: scenario %q event %d: %w", s.Name, i, err)
 		}
-		if ev.At < 0 {
-			return fmt.Errorf("fault: scenario %q event %d: negative event time %g", s.Name, i, ev.At)
+	}
+	return nil
+}
+
+func (ev Event) validate() error {
+	if ev.Kind < 0 || ev.Kind >= numKinds {
+		return fmt.Errorf("unknown kind %d", int(ev.Kind))
+	}
+	if ev.At < 0 {
+		return fmt.Errorf("negative event time %g", ev.At)
+	}
+	tg := ev.Target.Kind
+	switch ev.Kind {
+	case MsgDrop, MsgCorrupt, MsgDup:
+		if ev.Factor < 0 || ev.Factor > 1 {
+			return fmt.Errorf("%s probability %g outside [0,1]", ev.Kind, ev.Factor)
 		}
-		switch ev.Kind {
-		case MsgDrop, MsgCorrupt, MsgDup:
-			if ev.Factor < 0 || ev.Factor > 1 {
-				return fmt.Errorf("fault: scenario %q event %d: %s probability %g outside [0,1]", s.Name, i, ev.Kind, ev.Factor)
-			}
-		case LinkFlap:
-			if ev.Duration <= 0 {
-				return fmt.Errorf("fault: scenario %q event %d: non-positive flap period %g", s.Name, i, ev.Duration)
-			}
-			if ev.Factor <= 0 || ev.Factor >= 1 {
-				return fmt.Errorf("fault: scenario %q event %d: flap duty cycle %g outside (0,1)", s.Name, i, ev.Factor)
-			}
-			if ev.Repeat < 0 {
-				return fmt.Errorf("fault: scenario %q event %d: negative flap cycle count %d", s.Name, i, ev.Repeat)
-			}
-		default:
-			if ev.Factor < 0 {
-				return fmt.Errorf("fault: scenario %q event %d: negative factor %g", s.Name, i, ev.Factor)
-			}
-			if ev.Duration < 0 {
-				return fmt.Errorf("fault: scenario %q event %d: negative duration %g", s.Name, i, ev.Duration)
-			}
+	case LinkFlap:
+		if ev.Duration <= 0 {
+			return fmt.Errorf("non-positive flap period %g", ev.Duration)
+		}
+		if ev.Factor <= 0 || ev.Factor >= 1 {
+			return fmt.Errorf("flap duty cycle %g outside (0,1)", ev.Factor)
+		}
+		if ev.Repeat < 0 {
+			return fmt.Errorf("negative flap cycle count %d", ev.Repeat)
+		}
+	default:
+		if ev.Factor < 0 {
+			return fmt.Errorf("negative factor %g", ev.Factor)
+		}
+		if ev.Duration < 0 {
+			return fmt.Errorf("negative duration %g", ev.Duration)
+		}
+	}
+	switch ev.Kind {
+	case LinkDegrade:
+		if ev.Factor <= 0 {
+			return fmt.Errorf("degrade factor %g <= 0", ev.Factor)
+		}
+	case GPUStraggle:
+		if tg != TargetGPU {
+			return fmt.Errorf("straggle needs a GPU target, got %s", tg)
+		}
+		if ev.Factor < 1 {
+			return fmt.Errorf("straggle factor %g < 1", ev.Factor)
+		}
+	case RankPause:
+		if tg != TargetRank {
+			return fmt.Errorf("pause needs a rank target, got %s", tg)
+		}
+		if ev.Duration <= 0 {
+			return fmt.Errorf("pause duration %g <= 0", ev.Duration)
+		}
+	case NICFlap:
+		if tg != TargetNIC {
+			return fmt.Errorf("flap needs a NIC target, got %s", tg)
+		}
+		if ev.Duration <= 0 {
+			return fmt.Errorf("flap outage %g <= 0", ev.Duration)
+		}
+	case GPUFail:
+		if tg != TargetGPU {
+			return fmt.Errorf("gpu-fail needs a GPU target, got %s", tg)
+		}
+	case RankFail:
+		if tg != TargetRank {
+			return fmt.Errorf("rank-fail needs a rank target, got %s", tg)
+		}
+	}
+	switch ev.Kind {
+	case LinkDegrade, LinkFail, LinkRecover, NICFlap, LinkFlap, MsgDrop, MsgCorrupt, MsgDup:
+		if tg == TargetGPU || tg == TargetRank {
+			return fmt.Errorf("%s cannot target %s", ev.Kind, tg)
 		}
 	}
 	return nil
@@ -471,13 +521,9 @@ func (inj *Injector) Install(sc *Scenario) error {
 	return nil
 }
 
+// validate checks an event against the machine's shape; the
+// machine-independent rules are Scenario.Validate's.
 func (inj *Injector) validate(ev Event) error {
-	if ev.Kind < 0 || ev.Kind >= numKinds {
-		return fmt.Errorf("unknown kind %d", int(ev.Kind))
-	}
-	if ev.At < 0 {
-		return fmt.Errorf("negative event time %g", ev.At)
-	}
 	tg := ev.Target
 	if tg.Kind != TargetRank {
 		if tg.Node < 0 || tg.Node >= len(inj.M.Nodes) {
@@ -515,39 +561,7 @@ func (inj *Injector) validate(ev Event) error {
 		}
 	}
 	switch ev.Kind {
-	case LinkDegrade:
-		if ev.Factor <= 0 {
-			return fmt.Errorf("degrade factor %g <= 0", ev.Factor)
-		}
-	case GPUStraggle:
-		if tg.Kind != TargetGPU {
-			return fmt.Errorf("straggle needs a GPU target, got %s", tg.Kind)
-		}
-		if ev.Factor < 1 {
-			return fmt.Errorf("straggle factor %g < 1", ev.Factor)
-		}
-	case RankPause:
-		if tg.Kind != TargetRank {
-			return fmt.Errorf("pause needs a rank target, got %s", tg.Kind)
-		}
-		if ev.Duration <= 0 {
-			return fmt.Errorf("pause duration %g <= 0", ev.Duration)
-		}
-	case NICFlap:
-		if tg.Kind != TargetNIC {
-			return fmt.Errorf("flap needs a NIC target, got %s", tg.Kind)
-		}
-		if ev.Duration <= 0 {
-			return fmt.Errorf("flap outage %g <= 0", ev.Duration)
-		}
-	case GPUFail:
-		if tg.Kind != TargetGPU {
-			return fmt.Errorf("gpu-fail needs a GPU target, got %s", tg.Kind)
-		}
 	case RankFail:
-		if tg.Kind != TargetRank {
-			return fmt.Errorf("rank-fail needs a rank target, got %s", tg.Kind)
-		}
 		if inj.RT == nil {
 			return fmt.Errorf("rank-fail needs a CUDA runtime (it kills the rank's devices)")
 		}
@@ -557,12 +571,6 @@ func (inj *Injector) validate(ev Event) error {
 	case MsgDrop, MsgCorrupt, MsgDup:
 		if inj.W == nil {
 			return fmt.Errorf("%s needs an MPI world (loss is sampled at message delivery)", ev.Kind)
-		}
-	}
-	switch ev.Kind {
-	case LinkDegrade, LinkFail, LinkRecover, NICFlap, LinkFlap, MsgDrop, MsgCorrupt, MsgDup:
-		if tg.Kind == TargetGPU || tg.Kind == TargetRank {
-			return fmt.Errorf("%s cannot target %s", ev.Kind, tg.Kind)
 		}
 	}
 	return nil

@@ -219,8 +219,9 @@ func TestScenarioDeterminism(t *testing.T) {
 }
 
 // TestScenarioValidate covers the standalone scenario validator: structural
-// problems (negative times, factors, durations, unknown kinds) are rejected
-// without needing an injector or a machine.
+// problems (negative times, factors, durations, unknown kinds), factors and
+// durations outside their kind's range, and targets of the wrong kind are
+// rejected without needing an injector or a machine.
 func TestScenarioValidate(t *testing.T) {
 	good := (&Scenario{Name: "ok"}).
 		DegradeNIC(1, 0, 0.25).
@@ -243,6 +244,25 @@ func TestScenarioValidate(t *testing.T) {
 			Target: Target{Kind: TargetNIC}})},
 		{"negative kind", (&Scenario{}).Add(Event{At: 1, Kind: Kind(-1),
 			Target: Target{Kind: TargetNIC}})},
+		// Machine-independent rules that need no injector either.
+		{"straggle below 1", (&Scenario{}).StraggleGPU(1, 0, 0, 0.5, 0)},
+		{"degrade factor 0", (&Scenario{}).DegradeNIC(1, 0, 0)},
+		{"pause without duration", (&Scenario{}).PauseRank(1, 0, 0)},
+		{"flap without outage", (&Scenario{}).FlapNIC(1, 0, 0)},
+		{"degrade a gpu", (&Scenario{}).Add(Event{At: 1, Kind: LinkDegrade, Factor: 0.5,
+			Target: Target{Kind: TargetGPU, A: 0}})},
+		{"straggle a nic", (&Scenario{}).Add(Event{At: 1, Kind: GPUStraggle, Factor: 2,
+			Target: Target{Kind: TargetNIC}})},
+		{"pause a gpu", (&Scenario{}).Add(Event{At: 1, Kind: RankPause, Duration: 1,
+			Target: Target{Kind: TargetGPU}})},
+		{"flap an nvlink", (&Scenario{}).Add(Event{At: 1, Kind: NICFlap, Duration: 1,
+			Target: Target{Kind: TargetNVLink, A: 0, B: 1}})},
+		{"gpu-fail on a rank", (&Scenario{}).Add(Event{At: 1, Kind: GPUFail,
+			Target: Target{Kind: TargetRank}})},
+		{"rank-fail on a gpu", (&Scenario{}).Add(Event{At: 1, Kind: RankFail,
+			Target: Target{Kind: TargetGPU}})},
+		{"drop on a rank", (&Scenario{}).Add(Event{At: 1, Kind: MsgDrop, Factor: 0.1,
+			Target: Target{Kind: TargetRank}})},
 	}
 	for _, c := range cases {
 		if err := c.sc.Validate(); err == nil {

@@ -24,6 +24,8 @@ func FuzzSpecDecode(f *testing.F) {
 		[]byte(`{"domain":"12","scenario":{"events":[{"at":1,"kind":"link-degrade","target":{"kind":"nic","a":0},"factor":0.5}]}}`),
 		[]byte(`{"domain":"12","scenario":{"events":[]}}`),
 		[]byte(`{"nodes":9999999,"ranks_per_node":1,"domain":"1x1x99999999","radius":1,"quantities":1}`),
+		[]byte(`{"nodes":999999999999999989,"ranks_per_node":1,"domain":"12","radius":1,"quantities":1}`),
+		[]byte(`{"nodes":9223372036854775783,"ranks_per_node":1,"domain":"1x1x9223372036854775807","radius":1,"quantities":1}`),
 	}
 	for _, s := range seed {
 		f.Add(s)

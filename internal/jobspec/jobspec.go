@@ -3,9 +3,15 @@
 // and the stencilserve HTTP service all build jobs from.
 //
 // A Spec is the user-facing, wire-format view of stencil.Config plus the run
-// length and an optional fault scenario. It supports three operations the
+// length and an optional fault scenario. It supports four operations the
 // serving layer depends on:
 //
+//   - Validate: the admission check. It parses the wire fields, checks
+//     the ones stencil.Config does not carry (iters, send_timeout,
+//     deadline_s, tenant) and the MaxGPUs size limit, then defers to
+//     stencil.Config.Validate, which is
+//     the engine's own validator (exchange.Options.Validate). A spec it
+//     accepts builds; only fault targets the machine lacks fail later.
 //   - Normalize: fold every "zero means default" field to its explicit
 //     default and canonicalize enumerated spellings ("all" → "kernel",
 //     "96" → "96x96x96"), so two specs that describe the same job become
@@ -35,6 +41,7 @@ import (
 	stencil "github.com/nodeaware/stencil"
 	"github.com/nodeaware/stencil/internal/fault"
 	"github.com/nodeaware/stencil/internal/machine"
+	"github.com/nodeaware/stencil/internal/mpi"
 )
 
 // Spec is one job description. The zero value is not runnable; start from
@@ -51,7 +58,7 @@ type Spec struct {
 	// Stencil shape.
 	Radius       int `json:"radius"`
 	Quantities   int `json:"quantities"`
-	ElemSize     int `json:"elem_size,omitempty"`    // 0 → 4
+	ElemSize     int `json:"elem_size,omitempty"`    // 0 → stencil.DefaultElemSize
 	Neighborhood int `json:"neighborhood,omitempty"` // 0 → 26 (6 with FaceOnly)
 
 	// Method selection.
@@ -75,7 +82,7 @@ type Spec struct {
 	AdaptPlacement  bool    `json:"adapt_placement,omitempty"`
 	CheckpointEvery int     `json:"checkpoint_every,omitempty"`
 	SendTimeout     float64 `json:"send_timeout,omitempty"`
-	SendRetries     int     `json:"send_retries,omitempty"` // 0 → 8
+	SendRetries     int     `json:"send_retries,omitempty"` // 0 → mpi.DefaultSendRetries
 	Reliable        bool    `json:"reliable,omitempty"`
 	VerifyExchange  bool    `json:"verify_exchange,omitempty"`
 	QuarantineTicks int     `json:"quarantine_ticks,omitempty"`
@@ -179,7 +186,7 @@ func (s *Spec) Normalize() error {
 	}
 	s.Domain = FormatDomain(dim)
 	if s.ElemSize == 0 {
-		s.ElemSize = 4
+		s.ElemSize = stencil.DefaultElemSize
 	}
 	// FaceOnly is shorthand for the 6-direction neighborhood; 0 means the
 	// full 26-direction set. Both fold into an explicit Neighborhood.
@@ -205,10 +212,11 @@ func (s *Spec) Normalize() error {
 	if s.Iters == 0 {
 		s.Iters = 10
 	}
-	// Both the MPI retry path and the reliable envelope treat 0 as 8
-	// attempts, so the explicit default is behaviorally identical.
+	// Both the MPI retry path and the reliable envelope treat 0 as
+	// mpi.DefaultSendRetries, so the explicit default is behaviorally
+	// identical.
 	if s.SendRetries == 0 {
-		s.SendRetries = 8
+		s.SendRetries = mpi.DefaultSendRetries
 	}
 	// An empty scenario is the same job as no scenario; its Seed would
 	// otherwise change the hash without changing any behavior.
@@ -218,28 +226,22 @@ func (s *Spec) Normalize() error {
 	return nil
 }
 
-// Validate normalizes a copy and checks everything that can be checked
-// without building the engine: field ranges, the scenario's static rules,
-// and the stencil.Config invariants.
+// MaxGPUs caps a job's machine, nodes x sockets x gpus_per_socket. It is a
+// serving limit, not an engine rule: it keeps one request from asking the
+// engine to factor and build an arbitrarily large machine.
+const MaxGPUs = 1 << 16
+
+// Validate normalizes a copy, checks the wire-level fields stencil.Config
+// does not carry (iters, send_timeout, deadline_s, tenant) and the machine
+// size against MaxGPUs, and then runs
+// stencil.Config.Validate — the engine's own admission rule — on the
+// Config the spec describes, so every spec it accepts builds. The one
+// exception is a fault event targeting hardware the machine lacks, which
+// the engine catches when it installs the scenario.
 func (s *Spec) Validate() error {
 	c := *s
 	if err := c.Normalize(); err != nil {
 		return err
-	}
-	if c.Nodes < 1 || c.RanksPerNode < 1 {
-		return fmt.Errorf("jobspec: need at least one node and rank")
-	}
-	if c.Sockets < 1 || c.GPUsPerSocket < 1 {
-		return fmt.Errorf("jobspec: need at least one socket and GPU per socket")
-	}
-	gpus := c.Sockets * c.GPUsPerSocket
-	if gpus%c.RanksPerNode != 0 {
-		return fmt.Errorf("jobspec: %d GPUs/node not divisible by %d ranks/node", gpus, c.RanksPerNode)
-	}
-	switch c.Neighborhood {
-	case 6, 18, 26:
-	default:
-		return fmt.Errorf("jobspec: neighborhood %d (want 6, 18, or 26)", c.Neighborhood)
 	}
 	if c.Iters < 1 {
 		return fmt.Errorf("jobspec: iters %d < 1", c.Iters)
@@ -253,29 +255,18 @@ func (s *Spec) Validate() error {
 	if err := ValidTenant(c.Tenant); err != nil {
 		return err
 	}
-	// The overlap pipeline's compatibility matrix (mirrors exchange.New) so
-	// bad specs are rejected at admission, not at engine-build time.
-	if c.Overlap {
-		switch {
-		case c.NoOverlap:
-			return fmt.Errorf("jobspec: overlap contradicts no_overlap")
-		case c.AggregateRemote:
-			return fmt.Errorf("jobspec: overlap is incompatible with aggregate_remote")
-		case c.AdaptPlacement:
-			return fmt.Errorf("jobspec: overlap is incompatible with adapt_placement")
-		case c.CUDAAware:
-			return fmt.Errorf("jobspec: overlap is incompatible with cuda_aware")
+	gpus := 1
+	for _, v := range []int{c.Nodes, c.Sockets, c.GPUsPerSocket} {
+		if v < 1 {
+			break // the engine names the bad field
 		}
+		if v > MaxGPUs/gpus {
+			return fmt.Errorf("jobspec: %d nodes x %d sockets x %d gpus_per_socket exceeds %d GPUs",
+				c.Nodes, c.Sockets, c.GPUsPerSocket, MaxGPUs)
+		}
+		gpus *= v
 	}
-	if c.Scenario != nil {
-		if err := c.Scenario.Validate(); err != nil {
-			return err
-		}
-		if c.Scenario.HasFatal() && c.CheckpointEvery < 1 {
-			return fmt.Errorf("jobspec: scenario %q contains permanent-loss events; set checkpoint_every > 0", c.Scenario.Name)
-		}
-	}
-	cfg, err := c.Config()
+	cfg, err := c.config()
 	if err != nil {
 		return err
 	}
@@ -290,43 +281,48 @@ func (s *Spec) Config() (stencil.Config, error) {
 	if err := c.Normalize(); err != nil {
 		return stencil.Config{}, err
 	}
-	dim, err := ParseDomain(c.Domain)
+	return c.config()
+}
+
+// config builds the stencil.Config of an already normalized spec.
+func (s *Spec) config() (stencil.Config, error) {
+	dim, err := ParseDomain(s.Domain)
 	if err != nil {
 		return stencil.Config{}, err
 	}
-	caps, err := ParseCaps(c.Caps)
+	caps, err := ParseCaps(s.Caps)
 	if err != nil {
 		return stencil.Config{}, err
 	}
-	nodeCfg := machine.NodeConfig{Sockets: c.Sockets, GPUsPerSocket: c.GPUsPerSocket}
+	nodeCfg := machine.NodeConfig{Sockets: s.Sockets, GPUsPerSocket: s.GPUsPerSocket}
 	return stencil.Config{
-		Nodes:              c.Nodes,
-		RanksPerNode:       c.RanksPerNode,
+		Nodes:              s.Nodes,
+		RanksPerNode:       s.RanksPerNode,
 		Domain:             dim,
-		Radius:             c.Radius,
-		Quantities:         c.Quantities,
-		ElemSize:           c.ElemSize,
+		Radius:             s.Radius,
+		Quantities:         s.Quantities,
+		ElemSize:           s.ElemSize,
 		Capabilities:       caps,
-		CUDAAware:          c.CUDAAware,
-		TrivialPlacement:   c.TrivialPlacement,
-		RealData:           c.Verify,
-		Neighborhood:       c.Neighborhood,
-		OpenBoundary:       c.OpenBoundary,
-		AggregateRemote:    c.AggregateRemote,
-		NoOverlap:          c.NoOverlap,
-		Overlap:            c.Overlap,
-		EmpiricalPlacement: c.EmpiricalPlacement,
-		FairnessHorizon:    c.FairnessHorizon,
+		CUDAAware:          s.CUDAAware,
+		TrivialPlacement:   s.TrivialPlacement,
+		RealData:           s.Verify,
+		Neighborhood:       s.Neighborhood,
+		OpenBoundary:       s.OpenBoundary,
+		AggregateRemote:    s.AggregateRemote,
+		NoOverlap:          s.NoOverlap,
+		Overlap:            s.Overlap,
+		EmpiricalPlacement: s.EmpiricalPlacement,
+		FairnessHorizon:    s.FairnessHorizon,
 		NodeConfig:         &nodeCfg,
-		Fault:              c.Scenario,
-		Adaptive:           c.Adaptive,
-		AdaptPlacement:     c.AdaptPlacement,
-		CheckpointEvery:    c.CheckpointEvery,
-		SendTimeout:        c.SendTimeout,
-		SendRetries:        c.SendRetries,
-		Reliable:           c.Reliable,
-		VerifyExchange:     c.VerifyExchange,
-		QuarantineTicks:    c.QuarantineTicks,
+		Fault:              s.Scenario,
+		Adaptive:           s.Adaptive,
+		AdaptPlacement:     s.AdaptPlacement,
+		CheckpointEvery:    s.CheckpointEvery,
+		SendTimeout:        s.SendTimeout,
+		SendRetries:        s.SendRetries,
+		Reliable:           s.Reliable,
+		VerifyExchange:     s.VerifyExchange,
+		QuarantineTicks:    s.QuarantineTicks,
 	}, nil
 }
 

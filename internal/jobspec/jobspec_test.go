@@ -181,10 +181,29 @@ func TestValidateErrors(t *testing.T) {
 		{"face contradiction", Spec{Nodes: 1, RanksPerNode: 2, Domain: "12", Radius: 1, Quantities: 1, FaceOnly: true, Neighborhood: 18}, "contradicts"},
 		{"negative iters", Spec{Nodes: 1, RanksPerNode: 2, Domain: "12", Radius: 1, Quantities: 1, Iters: -1}, "iters"},
 		{"no radius", Spec{Nodes: 1, RanksPerNode: 2, Domain: "12", Quantities: 1}, "radius"},
-		{"overlap vs no_overlap", Spec{Nodes: 1, RanksPerNode: 2, Domain: "12", Radius: 1, Quantities: 1, Overlap: true, NoOverlap: true}, "no_overlap"},
-		{"overlap vs aggregate", Spec{Nodes: 1, RanksPerNode: 2, Domain: "12", Radius: 1, Quantities: 1, Overlap: true, AggregateRemote: true}, "aggregate_remote"},
-		{"overlap vs adapt_placement", Spec{Nodes: 1, RanksPerNode: 2, Domain: "12", Radius: 1, Quantities: 1, Overlap: true, Adaptive: true, AdaptPlacement: true}, "adapt_placement"},
-		{"overlap vs cuda_aware", Spec{Nodes: 1, RanksPerNode: 2, Domain: "12", Radius: 1, Quantities: 1, Overlap: true, CUDAAware: true}, "cuda_aware"},
+		{"overlap vs no_overlap", Spec{Nodes: 1, RanksPerNode: 2, Domain: "12", Radius: 1, Quantities: 1, Overlap: true, NoOverlap: true}, "NoOverlap"},
+		{"overlap vs aggregate", Spec{Nodes: 1, RanksPerNode: 2, Domain: "12", Radius: 1, Quantities: 1, Overlap: true, AggregateRemote: true}, "AggregateRemote"},
+		{"overlap vs adapt_placement", Spec{Nodes: 1, RanksPerNode: 2, Domain: "12", Radius: 1, Quantities: 1, Overlap: true, Adaptive: true, AdaptPlacement: true}, "AdaptPlacement"},
+		{"overlap vs cuda_aware", Spec{Nodes: 1, RanksPerNode: 2, Domain: "12", Radius: 1, Quantities: 1, Overlap: true, CUDAAware: true}, "CUDAAware"},
+		{"adapt_placement without adaptive", Spec{Nodes: 1, RanksPerNode: 2, Domain: "12", Radius: 1, Quantities: 1, AdaptPlacement: true}, "AdaptPlacement"},
+		{"adapt_placement vs aggregate", Spec{Nodes: 1, RanksPerNode: 2, Domain: "12", Radius: 1, Quantities: 1, Adaptive: true, AdaptPlacement: true, AggregateRemote: true}, "AggregateRemote"},
+		{"fatal fault vs aggregate", Spec{Nodes: 1, RanksPerNode: 2, Domain: "12", Radius: 1, Quantities: 1, CheckpointEvery: 2, AggregateRemote: true,
+			Scenario: (&fault.Scenario{}).KillGPU(1e-3, 0, 0)}, "AggregateRemote"},
+		{"fatal fault without checkpoint", Spec{Nodes: 1, RanksPerNode: 2, Domain: "12", Radius: 1, Quantities: 1,
+			Scenario: (&fault.Scenario{}).KillGPU(1e-3, 0, 0)}, "CheckpointEvery"},
+		{"negative checkpoint_every", Spec{Nodes: 1, RanksPerNode: 2, Domain: "12", Radius: 1, Quantities: 1, CheckpointEvery: -1}, "CheckpointEvery"},
+		{"thinner than radius", Spec{Nodes: 1, RanksPerNode: 2, Domain: "4", Radius: 3, Quantities: 1}, "thinner than radius"},
+		{"straggle factor below 1", Spec{Nodes: 1, RanksPerNode: 2, Domain: "12", Radius: 1, Quantities: 1,
+			Scenario: (&fault.Scenario{}).StraggleGPU(1e-3, 0, 0, 0.5, 0)}, "straggle factor"},
+		{"degrade factor 0", Spec{Nodes: 1, RanksPerNode: 2, Domain: "12", Radius: 1, Quantities: 1,
+			Scenario: (&fault.Scenario{}).DegradeNIC(1e-3, 0, 0)}, "degrade factor"},
+		{"negative send_timeout", Spec{Nodes: 1, RanksPerNode: 2, Domain: "12", Radius: 1, Quantities: 1, SendTimeout: -1}, "send_timeout"},
+		{"negative send_retries", Spec{Nodes: 1, RanksPerNode: 2, Domain: "12", Radius: 1, Quantities: 1, SendRetries: -2}, "SendRetries"},
+		{"negative quarantine_ticks", Spec{Nodes: 1, RanksPerNode: 2, Domain: "12", Radius: 1, Quantities: 1, QuarantineTicks: -3}, "QuarantineTicks"},
+		{"no sockets", Spec{Nodes: 1, RanksPerNode: 2, Domain: "12", Radius: 1, Quantities: 1, Sockets: -1}, "socket"},
+		{"prime node count near 1e18", Spec{Nodes: 999999999999999989, RanksPerNode: 1, Domain: "12", Radius: 1, Quantities: 1}, "GPUs"},
+		{"prime node count near 2^63", Spec{Nodes: 9223372036854775783, RanksPerNode: 1, Domain: "1x1x9223372036854775807", Radius: 1, Quantities: 1}, "GPUs"},
+		{"sockets x gpus overflow", Spec{Nodes: 1, RanksPerNode: 1, Sockets: 1 << 40, GPUsPerSocket: 1 << 40, Domain: "12", Radius: 1, Quantities: 1}, "GPUs"},
 		{"verify with 2-byte cells", Spec{Nodes: 1, RanksPerNode: 2, Domain: "12", Radius: 1, Quantities: 1, Verify: true, ElemSize: 2}, "ElemSize"},
 		{"negative deadline", Spec{Nodes: 1, RanksPerNode: 2, Domain: "12", Radius: 1, Quantities: 1, DeadlineSeconds: -1}, "deadline_s"},
 		{"bad tenant charset", Spec{Nodes: 1, RanksPerNode: 2, Domain: "12", Radius: 1, Quantities: 1, Tenant: "a b"}, "tenant"},

@@ -31,6 +31,11 @@ import (
 	"github.com/nodeaware/stencil/internal/sim"
 )
 
+// DefaultSendRetries is the per-message attempt cap a zero
+// World.SendRetries means, for both the timeout/retry path and the
+// reliable-delivery envelope.
+const DefaultSendRetries = 8
+
 // World is a communicator covering all ranks of a job.
 type World struct {
 	M         *machine.Machine
@@ -48,7 +53,8 @@ type World struct {
 	// SendRetries caps the number of retry attempts per message; after the
 	// cap the message is driven to completion without further aborts (the
 	// simulation never loses a message — a crawling link is eventually
-	// restored or the flow's residual trickle finishes). Zero means 8.
+	// restored or the flow's residual trickle finishes). Zero means
+	// DefaultSendRetries.
 	// Hitting the cap is a real hazard — the final attempt runs with no
 	// deadline — so it is counted in Stats().RetryExhausted and reported
 	// through OnRetryExhausted rather than passing silently. The same value
@@ -395,7 +401,7 @@ func (w *World) startFlowRetry(name string, path []*flownet.Link, bytes float64,
 	}
 	maxRetries := w.SendRetries
 	if maxRetries <= 0 {
-		maxRetries = 8
+		maxRetries = DefaultSendRetries
 	}
 	var attempt func(n int)
 	attempt = func(n int) {

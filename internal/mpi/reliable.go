@@ -183,7 +183,7 @@ func (w *World) reliableSendSeq(name string, fwd, rev []*flownet.Link, send, rec
 	}
 	env.maxAttempts = w.SendRetries
 	if env.maxAttempts <= 0 {
-		env.maxAttempts = 8
+		env.maxAttempts = DefaultSendRetries
 	}
 	env.rtoBase = w.SendTimeout
 	if env.rtoBase <= 0 {

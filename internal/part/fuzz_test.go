@@ -5,7 +5,8 @@ import "testing"
 // FuzzTiling checks, for arbitrary domain extents and partition counts, that
 // the two-level hierarchical decomposition tiles the domain exactly: every
 // cell is covered by exactly one subdomain (no gaps, no overlaps), the
-// subdomain volumes sum to the domain volume, and index round-trips hold.
+// subdomain volumes sum to the domain volume, index round-trips hold, and
+// Thinnest is the per-axis minimum subdomain extent.
 //
 // The seeded corpus runs under plain `go test`; `go test -fuzz=FuzzTiling
 // ./internal/part` explores beyond it.
@@ -45,6 +46,8 @@ func FuzzTiling(f *testing.F) {
 		cover := make([]int, domain.Vol())
 		cellIdx := func(x, y, z int) int { return (z*dy+y)*dx + x }
 		var volSum int
+		// Thinnest must be the per-axis minimum over every subdomain.
+		thin := domain
 		for nr := 0; nr < nodes; nr++ {
 			node := h.NodeIndex(nr)
 			if h.NodeRank(node) != nr {
@@ -60,6 +63,7 @@ func FuzzTiling(f *testing.F) {
 					t.Fatalf("empty subdomain node %v gpu %v: size %v", node, gpu, size)
 				}
 				volSum += size.Vol()
+				thin = Dim3{X: min(thin.X, size.X), Y: min(thin.Y, size.Y), Z: min(thin.Z, size.Z)}
 				for z := origin.Z; z < origin.Z+size.Z; z++ {
 					for y := origin.Y; y < origin.Y+size.Y; y++ {
 						for x := origin.X; x < origin.X+size.X; x++ {
@@ -91,6 +95,9 @@ func FuzzTiling(f *testing.F) {
 					}
 				}
 			}
+		}
+		if got := h.Thinnest(); got != thin {
+			t.Fatalf("Thinnest() = %v, smallest subdomain extents are %v", got, thin)
 		}
 		if volSum != domain.Vol() {
 			t.Fatalf("subdomain volumes sum to %d, domain is %d", volSum, domain.Vol())

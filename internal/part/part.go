@@ -15,6 +15,7 @@ package part
 
 import (
 	"fmt"
+	"math"
 )
 
 // Dim3 is a 3D extent or index.
@@ -63,7 +64,7 @@ func PrimeFactors(n int) []int {
 		panic(fmt.Sprintf("part: PrimeFactors(%d)", n))
 	}
 	var fs []int
-	for f := 2; f*f <= n; f++ {
+	for f := 2; f <= n/f; f++ { // f*f would overflow for n near MaxInt
 		for n%f == 0 {
 			fs = append(fs, f)
 			n /= f
@@ -109,52 +110,23 @@ func Grid(domain Dim3, n int) Dim3 {
 	return grid
 }
 
-// blockSizes splits extent e into k contiguous blocks whose sizes differ by
-// at most one; the first e%k blocks are one larger.
-func blockSizes(e, k int) []int {
-	if k < 1 || e < 1 {
-		panic(fmt.Sprintf("part: blockSizes(%d, %d)", e, k))
-	}
+// block returns the origin and size of block i when extent e is split into
+// k contiguous blocks whose sizes differ by at most one; the first e%k
+// blocks are one larger.
+func block(e, k, i int) (origin, size int) {
 	base, rem := e/k, e%k
-	out := make([]int, k)
-	for i := range out {
-		out[i] = base
-		if i < rem {
-			out[i]++
-		}
+	if i < rem {
+		return i * (base + 1), base + 1
 	}
-	return out
+	return rem*(base+1) + (i-rem)*base, base
 }
 
-// axisSplit precomputes the size and origin of each block along one axis for
-// a two-level (node, GPU) split.
-type axisSplit struct {
-	// size[ni][gi] and origin[ni][gi] for node block ni, gpu block gi.
-	size   [][]int
-	origin [][]int
-	nNode  int
-	nGPU   int
-}
-
-func newAxisSplit(extent, nodeParts, gpuParts int) axisSplit {
-	s := axisSplit{nNode: nodeParts, nGPU: gpuParts}
-	nodeSizes := blockSizes(extent, nodeParts)
-	off := 0
-	for _, ns := range nodeSizes {
-		gs := blockSizes(ns, gpuParts)
-		sizes := make([]int, gpuParts)
-		origins := make([]int, gpuParts)
-		o := off
-		for gi, g := range gs {
-			sizes[gi] = g
-			origins[gi] = o
-			o += g
-		}
-		s.size = append(s.size, sizes)
-		s.origin = append(s.origin, origins)
-		off += ns
-	}
-	return s
+// fitsIn reports whether n <= d.Vol() without forming the product, which can
+// overflow: ceil(ceil(n/X)/Y) <= Z exactly when n <= X*Y*Z. n and every
+// extent must be positive.
+func fitsIn(n int, d Dim3) bool {
+	ceilDiv := func(a, b int) int { return (a-1)/b + 1 }
+	return ceilDiv(ceilDiv(n, d.X), d.Y) <= d.Z
 }
 
 // Hier is a two-level hierarchical decomposition of a domain.
@@ -164,15 +136,23 @@ type Hier struct {
 	GPUs     int // per node
 	NodeDims Dim3
 	GPUDims  Dim3
-	ax       [3]axisSplit
 }
 
 // NewHier decomposes domain across nodes, then each node-level subdomain
 // across gpusPerNode GPUs. It fails if any axis would be split finer than
-// its extent.
+// its extent. Block origins and sizes are derived on demand (Subdomain), so
+// its cost does not grow with the node count.
 func NewHier(domain Dim3, nodes, gpusPerNode int) (*Hier, error) {
 	if nodes < 1 || gpusPerNode < 1 {
 		return nil, fmt.Errorf("part: %d nodes, %d gpus/node", nodes, gpusPerNode)
+	}
+	if domain.X < 1 || domain.Y < 1 || domain.Z < 1 {
+		return nil, fmt.Errorf("part: empty domain %v", domain)
+	}
+	// Every subdomain needs a cell. Checking this first also keeps Grid from
+	// factoring a node count far beyond the domain's volume.
+	if nodes > math.MaxInt/gpusPerNode || !fitsIn(nodes*gpusPerNode, domain) {
+		return nil, fmt.Errorf("part: %d nodes x %d gpus/node exceed the %v domain's cells", nodes, gpusPerNode, domain)
 	}
 	nd := Grid(domain, nodes)
 	// GPU-level grid is computed on a representative node subdomain.
@@ -185,17 +165,12 @@ func NewHier(domain Dim3, nodes, gpusPerNode int) (*Hier, error) {
 		return nil, fmt.Errorf("part: domain %v too small for %d nodes (grid %v)", domain, nodes, nd)
 	}
 	gd := Grid(nodeSub, gpusPerNode)
-	h := &Hier{Domain: domain, Nodes: nodes, GPUs: gpusPerNode, NodeDims: nd, GPUDims: gd}
-	exts := [3]int{domain.X, domain.Y, domain.Z}
-	nds := [3]int{nd.X, nd.Y, nd.Z}
-	gds := [3]int{gd.X, gd.Y, gd.Z}
 	for a := 0; a < 3; a++ {
-		if nds[a]*gds[a] > exts[a] {
-			return nil, fmt.Errorf("part: axis %d extent %d split into %d parts", a, exts[a], nds[a]*gds[a])
+		if parts := nd.get(a) * gd.get(a); parts > domain.get(a) {
+			return nil, fmt.Errorf("part: axis %d extent %d split into %d parts", a, domain.get(a), parts)
 		}
-		h.ax[a] = newAxisSplit(exts[a], nds[a], gds[a])
 	}
-	return h, nil
+	return &Hier{Domain: domain, Nodes: nodes, GPUs: gpusPerNode, NodeDims: nd, GPUDims: gd}, nil
 }
 
 // GlobalDims returns the full subdomain grid: NodeDims * GPUDims.
@@ -207,14 +182,24 @@ func (h *Hier) NumSubdomains() int { return h.GlobalDims().Vol() }
 // Subdomain returns the origin and size of the subdomain with node-space
 // index node and GPU-space index gpu.
 func (h *Hier) Subdomain(node, gpu Dim3) (origin, size Dim3) {
-	ni := [3]int{node.X, node.Y, node.Z}
-	gi := [3]int{gpu.X, gpu.Y, gpu.Z}
-	var o, s [3]int
 	for a := 0; a < 3; a++ {
-		o[a] = h.ax[a].origin[ni[a]][gi[a]]
-		s[a] = h.ax[a].size[ni[a]][gi[a]]
+		nodeOrigin, nodeSize := block(h.Domain.get(a), h.NodeDims.get(a), node.get(a))
+		gpuOrigin, gpuSize := block(nodeSize, h.GPUDims.get(a), gpu.get(a))
+		origin.set(a, nodeOrigin+gpuOrigin)
+		size.set(a, gpuSize)
 	}
-	return Dim3{o[0], o[1], o[2]}, Dim3{s[0], s[1], s[2]}
+	return origin, size
+}
+
+// Thinnest returns the smallest subdomain extent along each axis. Blocks
+// differ by at most one cell at each level, so it is the extent divided by
+// the node parts, then by the GPU parts.
+func (h *Hier) Thinnest() Dim3 {
+	return Dim3{
+		X: h.Domain.X / h.NodeDims.X / h.GPUDims.X,
+		Y: h.Domain.Y / h.NodeDims.Y / h.GPUDims.Y,
+		Z: h.Domain.Z / h.NodeDims.Z / h.GPUDims.Z,
+	}
 }
 
 // GlobalIndex combines a node index and GPU index into the global subdomain

@@ -1,7 +1,9 @@
 package part
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -18,6 +20,7 @@ func TestPrimeFactors(t *testing.T) {
 		{256, []int{2, 2, 2, 2, 2, 2, 2, 2}},
 		{97, []int{97}},
 		{60, []int{5, 3, 2, 2}},
+		{math.MaxInt, []int{649657, 92737, 337, 127, 73, 7, 7}},
 	}
 	for _, c := range cases {
 		got := PrimeFactors(c.n)
@@ -138,11 +141,11 @@ func TestFig3Volumes(t *testing.T) {
 }
 
 func TestBlockSizes(t *testing.T) {
-	got := blockSizes(10, 3)
-	want := []int{4, 3, 3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("blockSizes(10,3) = %v, want %v", got, want)
+	wantOrigin := []int{0, 4, 7}
+	wantSize := []int{4, 3, 3}
+	for i := range wantSize {
+		if o, s := block(10, 3, i); o != wantOrigin[i] || s != wantSize[i] {
+			t.Errorf("block(10, 3, %d) = (%d, %d), want (%d, %d)", i, o, s, wantOrigin[i], wantSize[i])
 		}
 	}
 }
@@ -359,6 +362,41 @@ func TestNewHierErrors(t *testing.T) {
 	}
 	if _, err := NewHier(Dim3{2, 2, 2}, 64, 6); err == nil {
 		t.Error("oversplit domain accepted")
+	}
+	// More subdomains than cells fail before Grid factors the node count; a
+	// prime near 1e18 would take about 1e9 trial divisions otherwise.
+	for _, c := range []struct {
+		d           Dim3
+		nodes, gpus int
+	}{
+		{Dim3{12, 12, 12}, 999999999999999989, 6},
+		{Dim3{12, 12, 12}, 9223372036854775783, 1},
+		{Dim3{1 << 40, 1 << 40, 1 << 40}, 1 << 62, 6}, // nodes x gpus overflows
+		{Dim3{2, 2, 2}, 3, 3},
+	} {
+		if _, err := NewHier(c.d, c.nodes, c.gpus); err == nil || !strings.Contains(err.Error(), "exceed") {
+			t.Errorf("NewHier(%v, %d, %d) error %v, want one about exceeding the cells", c.d, c.nodes, c.gpus, err)
+		}
+	}
+	// Exactly one cell per subdomain still fits.
+	if _, err := NewHier(Dim3{2, 2, 2}, 4, 2); err != nil {
+		t.Errorf("one cell per subdomain rejected: %v", err)
+	}
+}
+
+// TestFitsIn checks the overflow-free volume comparison against the product
+// wherever the product is representable.
+func TestFitsIn(t *testing.T) {
+	f := func(n, x, y, z uint16) bool {
+		d := Dim3{int(x%50) + 1, int(y%50) + 1, int(z%50) + 1}
+		v := int(n) + 1
+		return fitsIn(v, d) == (v <= d.Vol())
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+	if !fitsIn(math.MaxInt, Dim3{1 << 40, 1 << 40, 1 << 40}) {
+		t.Error("MaxInt does not fit a 2^120-cell domain")
 	}
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -192,6 +193,66 @@ func TestRestartRehydratesCaches(t *testing.T) {
 	res, _ := j.Result()
 	if !bytes.Equal(res, want[j.Hash]) {
 		t.Fatal("cache-served result differs from the pre-restart bytes")
+	}
+}
+
+// TestRestartKeepsJobsOlderRulesAccepted: a journal written before a rule
+// was tightened can hold specs that admission now rejects (here send_retries
+// -2, which older releases ran like the default). A completed job with such
+// a spec is restored as done and keeps serving its result; an acknowledged
+// job that never ran must pass today's rule and comes back failed.
+func TestRestartKeepsJobsOlderRulesAccepted(t *testing.T) {
+	dir := t.TempDir()
+	s1, err := Open(Config{Workers: 1, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := s1.Submit("alice", tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := j.Wait(); st != StateDone {
+		t.Fatalf("job ended %q", st)
+	}
+	want, _ := j.Result()
+	s1.Drain()
+
+	path := filepath.Join(dir, JournalName)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const good, old = `"send_retries":8`, `"send_retries":-2`
+	if !bytes.Contains(raw, []byte(good)) {
+		t.Fatalf("journal holds no %s to rewrite:\n%s", good, raw)
+	}
+	raw = bytes.ReplaceAll(raw, []byte(good), []byte(old))
+	// An acknowledged, never-started job with the same old-style spec.
+	var spec json.RawMessage
+	for _, line := range bytes.Split(raw, []byte("\n")) {
+		var r journalRecord
+		if json.Unmarshal(line, &r) == nil && r.Rec == recSubmitted {
+			spec = r.Spec
+		}
+	}
+	queued, _ := json.Marshal(journalRecord{V: 1, Rec: recSubmitted, Job: "j000099", Tenant: "alice", SpecHash: "h", Spec: spec})
+	raw = append(raw, append(queued, '\n')...)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(Config{Workers: 1, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Drain()
+	done, _ := s2.Job(j.ID)
+	if res, state := done.Result(); state != StateDone || !bytes.Equal(res, want) {
+		t.Errorf("completed job restored as %q (result equal: %v), want done with its result", state, bytes.Equal(res, want))
+	}
+	failed, _ := s2.Job("j000099")
+	if st := failed.status(false); st.State != StateFailed || !strings.Contains(st.Error, "SendRetries") {
+		t.Errorf("queued job with a now-invalid spec restored as %q (%q), want failed naming SendRetries", st.State, st.Error)
 	}
 }
 

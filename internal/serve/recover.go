@@ -139,9 +139,6 @@ func (s *Server) restoreJob(jj *journalJob, now time.Time) (*Job, error) {
 		if err := json.Unmarshal(jj.Spec, spec); err != nil {
 			return nil, fmt.Errorf("spec decode: %w", err)
 		}
-		if err := spec.Validate(); err != nil {
-			return nil, err
-		}
 		if err := spec.Normalize(); err != nil {
 			return nil, err
 		}
@@ -180,6 +177,14 @@ func (s *Server) restoreJob(jj *journalJob, now time.Time) (*Job, error) {
 			return nil, nil
 		}
 		j.cancel(now)
+	}
+	// Only a job that runs again must pass today's admission rule. A
+	// terminal one is restored as it ended, even if a later release rejects
+	// its spec (a completed job keeps serving its result).
+	if spec != nil && !jj.terminal() {
+		if err := spec.Validate(); err != nil {
+			return nil, err
+		}
 	}
 	return j, nil
 }

@@ -235,7 +235,11 @@ func TestSubmitErrors(t *testing.T) {
 		{"verify with 2-byte cells", `{"nodes": 1, "ranks_per_node": 2, "domain": "12", "radius": 1, "quantities": 1,
 			"verify": true, "elem_size": 2}`, "ElemSize"},
 		{"fatal without checkpoint", `{"nodes": 1, "ranks_per_node": 2, "domain": "12", "radius": 1, "quantities": 1,
-			"scenario": {"events": [{"at": 1, "kind": "gpu-fail", "target": {"kind": "gpu", "a": 0}}]}}`, "checkpoint_every"},
+			"scenario": {"events": [{"at": 1, "kind": "gpu-fail", "target": {"kind": "gpu", "a": 0}}]}}`, "CheckpointEvery"},
+		{"adapt_placement without adaptive", `{"nodes": 1, "ranks_per_node": 2, "domain": "12", "radius": 1, "quantities": 1,
+			"adapt_placement": true}`, "AdaptPlacement"},
+		{"straggle factor below 1", `{"nodes": 1, "ranks_per_node": 2, "domain": "12", "radius": 1, "quantities": 1,
+			"scenario": {"events": [{"at": 1, "kind": "gpu-straggle", "target": {"kind": "gpu", "a": 0}, "factor": 0.5}]}}`, "straggle factor"},
 	}
 	for _, tc := range cases {
 		resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))

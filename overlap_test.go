@@ -107,7 +107,7 @@ func TestOverlapEquivalence(t *testing.T) {
 		{"clean-compute", nil, overlapInc},
 		{"exchange-only", nil, nil},
 		{"open-boundary", func(cfg *Config) { cfg.OpenBoundary = true }, overlapInc},
-		{"face-only", func(cfg *Config) { cfg.FaceOnly = true }, overlapInc},
+		{"face-only", func(cfg *Config) { cfg.Neighborhood = 6 }, overlapInc},
 		{"radius-2", func(cfg *Config) { cfg.Radius = 2 }, overlapInc},
 		{"lossy-compute", lossy, overlapInc},
 		{"lossy-exchange-only", lossy, nil},
@@ -270,7 +270,9 @@ func TestOverlapEquivalenceQuick(t *testing.T) {
 	}
 	prop := func(seed uint8, faceOnly, open, lossy bool) bool {
 		cfg := overlapCfg(0)
-		cfg.FaceOnly = faceOnly
+		if faceOnly {
+			cfg.Neighborhood = 6
+		}
 		cfg.OpenBoundary = open
 		cfg.Radius = 1 + int(seed%2)
 		switch seed % 4 {

@@ -24,7 +24,6 @@ package stencil
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 
 	"github.com/nodeaware/stencil/internal/exchange"
@@ -115,9 +114,9 @@ type Config struct {
 	Radius     int
 	Quantities int
 
-	// ElemSize is the bytes per value; 0 defaults to 4 (single precision).
-	// With RealData it must be at least 4: Fill, Get, Set and VerifyHalos
-	// store a float32 in each cell's first 4 bytes.
+	// ElemSize is the bytes per value; 0 defaults to DefaultElemSize. With
+	// RealData it must be at least 4: Fill, Get, Set and VerifyHalos store a
+	// float32 in each cell's first 4 bytes.
 	ElemSize int
 
 	// Capabilities gates the transfer methods; use CapsAll() for the fully
@@ -135,11 +134,6 @@ type Config struct {
 	// RealData allocates backing memory and moves real bytes; required for
 	// numeric verification, affordable only for small domains.
 	RealData bool
-
-	// FaceOnly exchanges only the six face neighbors (Fig 1(a) stencils):
-	// shorthand for Neighborhood 6, and an error with any other explicit
-	// Neighborhood.
-	FaceOnly bool
 
 	// Neighborhood selects the exchanged direction set by count: 0 or 26 for
 	// the full neighborhood, 6 for faces only (Fig 1(a)), 18 for faces plus
@@ -204,24 +198,16 @@ type Config struct {
 	Fault *FaultScenario
 
 	// Adaptive enables degradation-aware re-specialization: a health
-	// monitor observes link state between iterations and re-runs phase-3
-	// method selection for plans whose path failed or degraded, promoting
-	// them back on recovery.
+	// monitor observes link state after every iteration and re-runs phase-3
+	// method selection for plans whose path failed or degraded below half
+	// its healthy capacity, promoting them back on recovery.
 	Adaptive bool
 
-	// AdaptThreshold is the link-health fraction below which a link counts
-	// as degraded (0 defaults to 0.5); AdaptCheckEvery runs the monitor
-	// every N iterations (0 defaults to 1).
-	AdaptThreshold  float64
-	AdaptCheckEvery int
-
 	// AdaptPlacement additionally re-runs phase-2 placement against the
-	// degraded bandwidth matrix when a node's degradation persists for
-	// AdaptPersistTicks monitor ticks (0 defaults to 3), migrating
-	// subdomains whose GPU changes. Requires Adaptive; incompatible with
-	// AggregateRemote.
-	AdaptPlacement    bool
-	AdaptPersistTicks int
+	// degraded bandwidth matrix when a node's degradation persists for three
+	// monitor ticks, migrating subdomains whose GPU changes. Requires
+	// Adaptive; incompatible with AggregateRemote.
+	AdaptPlacement bool
 
 	// CheckpointEvery > 0 snapshots every subdomain to host memory every K
 	// iterations (and once before the first) as real D2H traffic, and
@@ -234,7 +220,8 @@ type Config struct {
 
 	// SendTimeout (seconds of virtual time) enables MPI-level retry: a
 	// wire transfer still in flight after the timeout is aborted and
-	// re-sent, up to SendRetries attempts (0 defaults to 8). 0 disables.
+	// re-sent, up to SendRetries attempts (0 defaults to 8; negative is an
+	// error). 0 disables.
 	SendTimeout float64
 	SendRetries int
 
@@ -277,56 +264,14 @@ type DistributedDomain struct {
 	subs []*Subdomain
 }
 
+// DefaultElemSize is the bytes per value a zero Config.ElemSize means
+// (single precision).
+const DefaultElemSize = 4
+
 // New partitions, places, and specializes the domain per the configuration.
 func New(cfg Config) (*DistributedDomain, error) {
-	if cfg.ElemSize == 0 {
-		cfg.ElemSize = 4
-	}
-	if err := cfg.checkRealData(); err != nil {
-		return nil, err
-	}
-	nbhd, err := cfg.neighborhood()
-	if err != nil {
-		return nil, err
-	}
-	ex, err := exchange.New(exchange.Options{
-		Nodes:              cfg.Nodes,
-		RanksPerNode:       cfg.RanksPerNode,
-		Domain:             cfg.Domain,
-		Radius:             cfg.Radius,
-		Quantities:         cfg.Quantities,
-		ElemSize:           cfg.ElemSize,
-		Caps:               cfg.Capabilities,
-		CUDAAware:          cfg.CUDAAware,
-		NodeAware:          !cfg.TrivialPlacement,
-		RealData:           cfg.RealData,
-		Neighborhood:       nbhd,
-		OpenBoundary:       cfg.OpenBoundary,
-		AggregateRemote:    cfg.AggregateRemote,
-		NoOverlap:          cfg.NoOverlap,
-		Overlap:            cfg.Overlap,
-		Preempt:            cfg.Preempt,
-		EmpiricalPlacement: cfg.EmpiricalPlacement,
-		FairnessHorizon:    cfg.FairnessHorizon,
-		NodeConfig:         cfg.NodeConfig,
-		Params:             cfg.Params,
-		PresetPlacement:    cfg.PresetPlacement,
-		TraceOps:           cfg.TraceOps,
-		Fault:              cfg.Fault,
-		Adaptive:           cfg.Adaptive,
-		AdaptThreshold:     cfg.AdaptThreshold,
-		AdaptCheckEvery:    cfg.AdaptCheckEvery,
-		AdaptPlacement:     cfg.AdaptPlacement,
-		AdaptPersistTicks:  cfg.AdaptPersistTicks,
-		CheckpointEvery:    cfg.CheckpointEvery,
-		SendTimeout:        sim.Time(cfg.SendTimeout),
-		SendRetries:        cfg.SendRetries,
-		Reliable:           cfg.Reliable,
-		VerifyExchange:     cfg.VerifyExchange,
-		QuarantineTicks:    cfg.QuarantineTicks,
-		Telemetry:          cfg.Telemetry,
-		Workers:            cfg.Workers,
-	})
+	cfg.resolve()
+	ex, err := exchange.New(cfg.options())
 	if err != nil {
 		return nil, err
 	}
@@ -471,46 +416,58 @@ func (dd *DistributedDomain) Step(steps int, compute ComputeFunc) *Stats {
 	})
 }
 
-// Validate checks the configuration without building the job.
+// Validate checks the configuration without building the job: it is nil
+// exactly when New succeeds, except for a fault event that targets hardware
+// the machine lacks (see exchange.Options.Validate).
 func (cfg Config) Validate() error {
+	cfg.resolve()
+	return cfg.options().Validate()
+}
+
+// resolve folds a zero ElemSize to DefaultElemSize.
+func (cfg *Config) resolve() {
 	if cfg.ElemSize == 0 {
-		cfg.ElemSize = 4
+		cfg.ElemSize = DefaultElemSize
 	}
-	if cfg.Nodes < 1 || cfg.RanksPerNode < 1 {
-		return fmt.Errorf("stencil: need at least one node and rank")
-	}
-	if cfg.Radius < 1 {
-		return fmt.Errorf("stencil: radius must be >= 1")
-	}
-	if cfg.Quantities < 1 {
-		return fmt.Errorf("stencil: need at least one quantity")
-	}
-	if err := cfg.checkRealData(); err != nil {
-		return err
-	}
-	_, err := cfg.neighborhood()
-	return err
 }
 
-// checkRealData rejects real-data cells too small for the float32 values
-// Fill, Get, Set and VerifyHalos store in each cell's first 4 bytes.
-func (cfg Config) checkRealData() error {
-	if cfg.RealData && cfg.ElemSize < 4 {
-		return fmt.Errorf("stencil: RealData needs ElemSize >= 4 (cells hold float32 values), got %d", cfg.ElemSize)
+// options maps the configuration onto the exchange engine's options.
+func (cfg Config) options() exchange.Options {
+	return exchange.Options{
+		Nodes:              cfg.Nodes,
+		RanksPerNode:       cfg.RanksPerNode,
+		Domain:             cfg.Domain,
+		Radius:             cfg.Radius,
+		Quantities:         cfg.Quantities,
+		ElemSize:           cfg.ElemSize,
+		Caps:               cfg.Capabilities,
+		CUDAAware:          cfg.CUDAAware,
+		NodeAware:          !cfg.TrivialPlacement,
+		RealData:           cfg.RealData,
+		Neighborhood:       cfg.Neighborhood,
+		OpenBoundary:       cfg.OpenBoundary,
+		AggregateRemote:    cfg.AggregateRemote,
+		NoOverlap:          cfg.NoOverlap,
+		Overlap:            cfg.Overlap,
+		Preempt:            cfg.Preempt,
+		EmpiricalPlacement: cfg.EmpiricalPlacement,
+		FairnessHorizon:    cfg.FairnessHorizon,
+		NodeConfig:         cfg.NodeConfig,
+		Params:             cfg.Params,
+		PresetPlacement:    cfg.PresetPlacement,
+		TraceOps:           cfg.TraceOps,
+		Fault:              cfg.Fault,
+		Adaptive:           cfg.Adaptive,
+		AdaptPlacement:     cfg.AdaptPlacement,
+		CheckpointEvery:    cfg.CheckpointEvery,
+		SendTimeout:        sim.Time(cfg.SendTimeout),
+		SendRetries:        cfg.SendRetries,
+		Reliable:           cfg.Reliable,
+		VerifyExchange:     cfg.VerifyExchange,
+		QuarantineTicks:    cfg.QuarantineTicks,
+		Telemetry:          cfg.Telemetry,
+		Workers:            cfg.Workers,
 	}
-	return nil
-}
-
-// neighborhood folds FaceOnly into the Neighborhood count with jobspec's
-// rule: FaceOnly means 6 and contradicts any other explicit count.
-func (cfg Config) neighborhood() (int, error) {
-	if !cfg.FaceOnly {
-		return cfg.Neighborhood, nil
-	}
-	if cfg.Neighborhood != 0 && cfg.Neighborhood != 6 {
-		return 0, fmt.Errorf("stencil: FaceOnly contradicts Neighborhood %d", cfg.Neighborhood)
-	}
-	return 6, nil
 }
 
 // VirtualTime returns the current simulated clock of the underlying engine,
