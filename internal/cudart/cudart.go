@@ -15,6 +15,7 @@ package cudart
 
 import (
 	"fmt"
+	"strconv"
 
 	"github.com/nodeaware/stencil/internal/flownet"
 	"github.com/nodeaware/stencil/internal/machine"
@@ -75,6 +76,29 @@ type Runtime struct {
 	RealData bool // allocate and move real bytes
 	Devices  []*Device
 	OnOp     func(OpRecord) // optional trace hook
+
+	// Streams and buffer headers live as long as the runtime, and setup
+	// makes tens of thousands of them: they come from slabs.
+	streams slab[Stream]
+	buffers slab[Buffer]
+}
+
+// slab hands out pointers into chunked backing arrays, so objects that live
+// as long as their owner cost one heap allocation per chunk instead of one
+// each. Chunks double from 16 entries up to 1024.
+type slab[T any] struct {
+	free []T
+	size int
+}
+
+func (s *slab[T]) next() *T {
+	if len(s.free) == 0 {
+		s.size = min(max(2*s.size, 16), 1024)
+		s.free = make([]T, s.size)
+	}
+	p := &s.free[0]
+	s.free = s.free[1:]
+	return p
 }
 
 // NewRuntime creates a runtime with one Device per GPU in the machine,
@@ -85,7 +109,7 @@ func NewRuntime(m *machine.Machine, realData bool) *Runtime {
 	for _, n := range m.Nodes {
 		for g := 0; g < n.Config.GPUs(); g++ {
 			d := &Device{rt: rt, ID: id, Node: n.ID, Local: g, peers: make(map[int]bool)}
-			d.defaultStream = d.newStream("default")
+			d.defaultStream = d.newStream("default", -1, "")
 			rt.Devices = append(rt.Devices, d)
 			id++
 		}
@@ -99,16 +123,14 @@ func (rt *Runtime) DeviceAt(node, local int) *Device {
 	return rt.Devices[node*n.Config.GPUs()+local]
 }
 
-func (rt *Runtime) record(r OpRecord) {
+// Record feeds an externally produced op record to the trace hook. The MPI
+// layer uses it to surface host-side staging copies in the same timeline as
+// stream ops.
+func (rt *Runtime) Record(r OpRecord) {
 	if rt.OnOp != nil {
 		rt.OnOp(r)
 	}
 }
-
-// Record feeds an externally produced op record to the trace hook. The MPI
-// layer uses it to surface host-side staging copies in the same timeline as
-// stream ops.
-func (rt *Runtime) Record(r OpRecord) { rt.record(r) }
 
 // Device is one simulated GPU.
 type Device struct {
@@ -121,7 +143,6 @@ type Device struct {
 	streams       []*Stream
 	slow          float64 // straggle factor; 0 means healthy (1x)
 	dead          bool    // permanently failed (fail-stop)
-	allWorkName   string  // AllWorkEvent's signal name, built once
 }
 
 // Fail marks the device permanently lost (fail-stop). Work already enqueued
@@ -187,9 +208,9 @@ func (d *Device) EnablePeerAccess(other *Device) error {
 // PeerEnabled reports whether EnablePeerAccess(other) has been called.
 func (d *Device) PeerEnabled(other *Device) bool { return d.peers[other.ID] }
 
-func (d *Device) newStream(name string) *Stream {
-	s := &Stream{dev: d, name: fmt.Sprintf("d%d.%s", d.ID, name)}
-	s.opName = s.name + ".op"
+func (d *Device) newStream(prefix string, num int, suffix string) *Stream {
+	s := d.rt.streams.next()
+	*s = Stream{dev: d, prefix: prefix, num: num, suffix: suffix}
 	d.streams = append(d.streams, s)
 	return s
 }
@@ -197,7 +218,14 @@ func (d *Device) newStream(name string) *Stream {
 // NewStream creates a new asynchronous stream on the device.
 func (d *Device) NewStream(name string) *Stream {
 	d.checkAlive("NewStream")
-	return d.newStream(name)
+	return d.newStream(name, -1, "")
+}
+
+// NewStreamNum is NewStream(prefix + strconv.Itoa(num) + suffix), with the
+// name built only when something reads it.
+func (d *Device) NewStreamNum(prefix string, num int, suffix string) *Stream {
+	d.checkAlive("NewStream")
+	return d.newStream(prefix, num, suffix)
 }
 
 // SynchronizeThen runs next once every op enqueued so far on every stream of
@@ -224,7 +252,8 @@ func (d *Device) SynchronizeThen(next func()) {
 // real-data mode.
 func (d *Device) Malloc(size int64) *Buffer {
 	d.checkAlive("Malloc")
-	b := &Buffer{dev: d, size: size}
+	b := d.rt.buffers.next()
+	*b = Buffer{dev: d, size: size}
 	if d.rt.RealData {
 		b.data = make([]byte, size)
 	}
@@ -233,7 +262,8 @@ func (d *Device) Malloc(size int64) *Buffer {
 
 // MallocHost allocates a pinned host buffer on the given node and socket.
 func (rt *Runtime) MallocHost(node, socket int, size int64) *Buffer {
-	b := &Buffer{node: node, socket: socket, size: size, host: true}
+	b := rt.buffers.next()
+	*b = Buffer{node: node, socket: socket, size: size, host: true}
 	if rt.RealData {
 		b.data = make([]byte, size)
 	}
@@ -286,14 +316,26 @@ func (rt *Runtime) IpcOpenMemHandle(p *sim.Proc, h IpcMemHandle) *Buffer {
 
 // Stream is an in-order asynchronous operation queue on one device.
 type Stream struct {
-	dev    *Device
-	name   string
-	opName string      // op completion signal name, built once
-	tail   *sim.Signal // completion of the most recently enqueued op
+	dev *Device
+	// The name is "d<device id>." + prefix + num + suffix (num left out when
+	// negative), built on first read: only traces read it.
+	prefix, suffix string
+	num            int
+	name           string
+	tail           *sim.Signal // completion of the most recently enqueued op
 }
 
 // Name returns the stream's debug name.
-func (s *Stream) Name() string { return s.name }
+func (s *Stream) Name() string {
+	if s.name == "" {
+		num := ""
+		if s.num >= 0 {
+			num = strconv.Itoa(s.num)
+		}
+		s.name = "d" + strconv.Itoa(s.dev.ID) + "." + s.prefix + num + s.suffix
+	}
+	return s.name
+}
 
 // Device returns the stream's device.
 func (s *Stream) Device() *Device { return s.dev }
@@ -302,7 +344,7 @@ func (s *Stream) Device() *Device { return s.dev }
 // dependencies have completed. start must eventually fire done.
 func (s *Stream) enqueue(start func(done *sim.Signal), deps ...*sim.Signal) *sim.Signal {
 	eng := s.dev.rt.M.Eng
-	done := sim.NewSignal(eng, s.opName)
+	done := sim.NewSignal(eng, "cudart.op")
 	all := make([]*sim.Signal, 0, len(deps)+1)
 	if s.tail != nil && !s.tail.Fired() {
 		all = append(all, s.tail)
@@ -347,11 +389,7 @@ func (d *Device) Streams() []*Stream { return d.streams }
 // on any stream of the device has completed. This models the legacy default
 // stream's device-wide synchronization behaviour.
 func (d *Device) AllWorkEvent() *sim.Signal {
-	eng := d.rt.M.Eng
-	if d.allWorkName == "" {
-		d.allWorkName = fmt.Sprintf("d%d.allwork", d.ID)
-	}
-	ev := sim.NewSignal(eng, d.allWorkName)
+	ev := sim.NewSignal(d.rt.M.Eng, "cudart.allwork")
 	pending := 0
 	for _, s := range d.streams {
 		if s.tail != nil && !s.tail.Fired() {
@@ -386,7 +424,7 @@ func (s *Stream) Query() bool { return s.tail == nil || s.tail.Fired() }
 // rolled into the Signal API).
 func (s *Stream) EventRecord() *sim.Signal {
 	eng := s.dev.rt.M.Eng
-	ev := sim.NewSignal(eng, s.name+".event")
+	ev := sim.NewSignal(eng, "cudart.event")
 	if s.tail == nil || s.tail.Fired() {
 		ev.Fire()
 		return ev
@@ -425,7 +463,9 @@ func (s *Stream) Kernel(name string, bytes int64, bw float64, commit func(), dep
 			if commit != nil {
 				eng.Defer(commit, key, key)
 			}
-			rt.record(OpRecord{Kind: OpKernel, Name: name, Device: s.dev.ID, Stream: s.name, Start: start, End: eng.Now(), Bytes: bytes})
+			if rt.OnOp != nil {
+				rt.OnOp(OpRecord{Kind: OpKernel, Name: name, Device: s.dev.ID, Stream: s.Name(), Start: start, End: eng.Now(), Bytes: bytes})
+			}
 			done.Fire()
 		})
 	}, deps...)
@@ -450,7 +490,9 @@ func (s *Stream) memcpyFlow(kind OpKind, name string, path []*flownet.Link, dst,
 					copy(dst.data[dstOff:dstOff+bytes], src.data[srcOff:srcOff+bytes])
 				}, k1, k2)
 			}
-			rt.record(OpRecord{Kind: kind, Name: name, Device: s.dev.ID, Stream: s.name, Start: start, End: eng.Now(), Bytes: bytes})
+			if rt.OnOp != nil {
+				rt.OnOp(OpRecord{Kind: kind, Name: name, Device: s.dev.ID, Stream: s.Name(), Start: start, End: eng.Now(), Bytes: bytes})
+			}
 			done.Fire()
 		})
 	}, deps...)

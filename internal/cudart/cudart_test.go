@@ -31,6 +31,45 @@ func TestDeviceNumbering(t *testing.T) {
 	}
 }
 
+// Stream names are built on first read, and streams and buffers come from
+// slabs: names must read as they always have, and every allocation across
+// several slab chunks must be its own object.
+func TestStreamNamesAndSlabs(t *testing.T) {
+	_, rt := newRT(2, true)
+	d := rt.DeviceAt(1, 2)
+	for _, c := range []struct {
+		s    *Stream
+		want string
+	}{
+		{d.DefaultStream(), "d8.default"},
+		{d.NewStream("probe"), "d8.probe"},
+		{d.NewStreamNum("p", 1234, ".send"), "d8.p1234.send"},
+		{d.NewStreamNum("sub", 0, ".kernel"), "d8.sub0.kernel"},
+	} {
+		if got := c.s.Name(); got != c.want {
+			t.Errorf("stream name %q, want %q", got, c.want)
+		}
+	}
+	var bufs []*Buffer
+	for i := 0; i < 3000; i++ {
+		if i%2 == 0 {
+			bufs = append(bufs, d.Malloc(int64(i+1)))
+		} else {
+			bufs = append(bufs, rt.MallocHost(1, 0, int64(i+1)))
+		}
+	}
+	seen := map[*Buffer]bool{}
+	for i, b := range bufs {
+		if seen[b] || b.Size() != int64(i+1) || len(b.Data()) != i+1 || b.Host() != (i%2 == 1) {
+			t.Fatalf("buffer %d: shared %v, size %d, %d data bytes, host %v", i, seen[b], b.Size(), len(b.Data()), b.Host())
+		}
+		seen[b] = true
+	}
+	if n := len(d.Streams()); n != 4 {
+		t.Errorf("device has %d streams, want 4", n)
+	}
+}
+
 func TestPeerAccess(t *testing.T) {
 	_, rt := newRT(2, false)
 	a, b := rt.DeviceAt(0, 0), rt.DeviceAt(0, 5)

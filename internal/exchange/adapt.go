@@ -346,7 +346,7 @@ func (e *Exchanger) replaceNode(p *sim.Proc, n int) {
 		sub.LocalGPU = newLocal
 		sub.Dev = newDev
 		sub.Rank = n*e.Opts.RanksPerNode + newLocal/e.gpusPerRank
-		sub.kernelStream = newDev.NewStream(fmt.Sprintf("sub%d.kernel.r", n*gpusPerNode+s))
+		sub.kernelStream = newDev.NewStreamNum("sub", n*gpusPerNode+s, ".kernel.r")
 	}
 	if moved == 0 {
 		e.logAdapt(AdaptRecord{At: e.Eng.Now(), PlanID: -1,

@@ -416,7 +416,7 @@ func (e *Exchanger) moveSub(i, node, local int, occ []int) {
 	sub.LocalGPU = local
 	sub.Rank = node*e.Opts.RanksPerNode + local/e.gpusPerRank
 	sub.Dev = e.RT.DeviceAt(node, local)
-	sub.kernelStream = sub.Dev.NewStream(fmt.Sprintf("sub%d.kernel.rec", i))
+	sub.kernelStream = sub.Dev.NewStreamNum("sub", i, ".kernel.rec")
 	occ[sub.Dev.ID]++
 }
 

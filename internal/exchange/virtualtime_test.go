@@ -265,3 +265,38 @@ func bitsOf(vs []float64) []uint64 {
 	}
 	return out
 }
+
+// TestLongPauseCompletes runs a job whose virtual clock passes 2000 s and
+// 1e5 s: one rank pauses that long in its first iteration. There one ulp of
+// the float64 clock times a link's rate is many milli-bytes, so flows
+// finish with rounding residue the completion check must accept. The
+// iterations after the pause must match those after a 100 s pause within
+// 1e-6 relative: only the clock's rounding differs.
+func TestLongPauseCompletes(t *testing.T) {
+	run := func(pause float64) []float64 {
+		t.Helper()
+		e, err := New(Options{
+			Nodes: 2, RanksPerNode: 2, Domain: part.Dim3{X: 32, Y: 32, Z: 32},
+			Radius: 1, Quantities: 2, ElemSize: 4, Caps: CapsAll(), NodeAware: true,
+			Fault: (&fault.Scenario{Name: "long-pause"}).PauseRank(0.001, 0, pause),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := e.Run(4)
+		if st.Iterations[0] < pause {
+			t.Fatalf("pause %g s: first iteration took %g s, shorter than the pause", pause, st.Iterations[0])
+		}
+		return st.Iterations[1:]
+	}
+	ref := run(100)
+	for _, pause := range []float64{2000, 1e5} {
+		got := run(pause)
+		for i := range got {
+			if rel := math.Abs(got[i]-ref[i]) / ref[i]; rel > 1e-6 {
+				t.Errorf("pause %g s: iteration %d took %g s, %g relative from the 100 s run's %g s",
+					pause, i+1, got[i], rel, ref[i])
+			}
+		}
+	}
+}

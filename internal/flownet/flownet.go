@@ -319,10 +319,14 @@ func (n *Network) StartFlow(name string, path []*Link, bytes float64) *Flow {
 
 // finish removes a completed flow and fires its signal.
 func (n *Network) finish(f *Flow) {
-	f.settle(n.eng.Now())
+	now := n.eng.Now()
+	f.settle(now)
 	// Rate recomputations accumulate floating-point residue proportional to
-	// the flow size; anything beyond that tolerance is a scheduling bug.
-	if f.remaining > 1e-9*f.total+1e-3 {
+	// the flow size, and the clock rounds the completion instant to its own
+	// resolution, which leaves up to about rate·ulp(now) bytes; anything
+	// beyond that tolerance is a scheduling bug.
+	ulp := math.Nextafter(now, math.Inf(1)) - now
+	if f.remaining > 1e-9*f.total+1e-3+4*f.rate*ulp {
 		panic(fmt.Sprintf("flownet: flow %s completed with %g bytes remaining", f.name, f.remaining))
 	}
 	n.active--

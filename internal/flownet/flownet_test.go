@@ -77,6 +77,41 @@ func TestLateArrivalRebalances(t *testing.T) {
 	}
 }
 
+// TestFlowsLateOnTheClock starts NVLink-rate flows at t = 1e5 s, where one
+// ulp of the clock times the rate is about 0.7 bytes: a completion instant
+// rounded to the clock leaves that much residue, which finish must accept.
+// Staggered starts and sizes make every flow's rate change mid-flight.
+func TestFlowsLateOnTheClock(t *testing.T) {
+	const t0, bw = 1e5, 46e9
+	e := sim.NewEngine()
+	n := New(e)
+	l := NewLink("nvlink", bw)
+	var flows []*Flow
+	for i := 0; i < 8; i++ {
+		i := i
+		e.At(t0+float64(i)*3.7e-6, func() {
+			flows = append(flows, n.StartFlow("f", []*Link{l}, float64(1<<20+i*77777)))
+		})
+	}
+	e.Run()
+	if len(flows) != 8 || n.ActiveFlows() != 0 {
+		t.Fatalf("%d flows started, %d still active", len(flows), n.ActiveFlows())
+	}
+	// The link stays saturated from the first start to the last finish.
+	var total float64
+	last := 0.0
+	for _, f := range flows {
+		if !f.Done().Fired() {
+			t.Fatal("flow never completed")
+		}
+		total += f.total
+		last = math.Max(last, f.Done().FiredAt())
+	}
+	if want := t0 + total/bw; math.Abs(last-want) > 1e-9 {
+		t.Errorf("last completion at %.12f s, want %.12f s", last, want)
+	}
+}
+
 func TestEarlyFinishSpeedsUpSurvivor(t *testing.T) {
 	e := sim.NewEngine()
 	n := New(e)

@@ -15,6 +15,7 @@ package machine
 
 import (
 	"fmt"
+	"strconv"
 
 	"github.com/nodeaware/stencil/internal/flownet"
 	"github.com/nodeaware/stencil/internal/sim"
@@ -201,29 +202,33 @@ func (m *Machine) buildNode(id int, cfg NodeConfig) *Node {
 		nvlink: make(map[[2]int]*flownet.Link),
 		xbus:   make(map[[2]int]*flownet.Link),
 	}
+	// Link names are "n<node>." plus the link's role.
+	itoa := strconv.Itoa
+	pre := "n" + itoa(id) + "."
 	gpus := cfg.GPUs()
 	for g := 0; g < gpus; g++ {
-		n.gpuUp = append(n.gpuUp, flownet.NewLink(fmt.Sprintf("n%d.g%d.up", id, g), p.NVLinkBW))
-		n.gpuDown = append(n.gpuDown, flownet.NewLink(fmt.Sprintf("n%d.g%d.down", id, g), p.NVLinkBW))
-		n.devLocal = append(n.devLocal, flownet.NewLink(fmt.Sprintf("n%d.g%d.local", id, g), p.DevLocalBW))
+		gpu := pre + "g" + itoa(g)
+		n.gpuUp = append(n.gpuUp, flownet.NewLink(gpu+".up", p.NVLinkBW))
+		n.gpuDown = append(n.gpuDown, flownet.NewLink(gpu+".down", p.NVLinkBW))
+		n.devLocal = append(n.devLocal, flownet.NewLink(gpu+".local", p.DevLocalBW))
 	}
 	for a := 0; a < gpus; a++ {
 		for b := 0; b < gpus; b++ {
 			if a != b && n.SameTriad(a, b) {
-				n.nvlink[[2]int{a, b}] = flownet.NewLink(fmt.Sprintf("n%d.nvlink.%d-%d", id, a, b), p.NVLinkBW)
+				n.nvlink[[2]int{a, b}] = flownet.NewLink(pre+"nvlink."+itoa(a)+"-"+itoa(b), p.NVLinkBW)
 			}
 		}
 	}
 	for s1 := 0; s1 < cfg.Sockets; s1++ {
-		n.hostMem = append(n.hostMem, flownet.NewLink(fmt.Sprintf("n%d.s%d.mem", id, s1), p.HostMemBW))
+		n.hostMem = append(n.hostMem, flownet.NewLink(pre+"s"+itoa(s1)+".mem", p.HostMemBW))
 		for s2 := 0; s2 < cfg.Sockets; s2++ {
 			if s1 != s2 {
-				n.xbus[[2]int{s1, s2}] = flownet.NewLink(fmt.Sprintf("n%d.xbus.%d-%d", id, s1, s2), p.XBusBW)
+				n.xbus[[2]int{s1, s2}] = flownet.NewLink(pre+"xbus."+itoa(s1)+"-"+itoa(s2), p.XBusBW)
 			}
 		}
 	}
-	n.nicOut = flownet.NewLink(fmt.Sprintf("n%d.nic.out", id), p.NICBW)
-	n.nicIn = flownet.NewLink(fmt.Sprintf("n%d.nic.in", id), p.NICBW)
+	n.nicOut = flownet.NewLink(pre+"nic.out", p.NICBW)
+	n.nicIn = flownet.NewLink(pre+"nic.in", p.NICBW)
 	n.buildPathCache()
 	return n
 }

@@ -24,6 +24,7 @@ package mpi
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"github.com/nodeaware/stencil/internal/cudart"
 	"github.com/nodeaware/stencil/internal/flownet"
@@ -150,13 +151,14 @@ func NewWorld(m *machine.Machine, rt *cudart.Runtime, ranksPerNode int, cudaAwar
 		sockets := m.Nodes[n].Config.Sockets
 		for l := 0; l < ranksPerNode; l++ {
 			id := n*ranksPerNode + l
+			name := "rank" + strconv.Itoa(id)
 			r := &Rank{
 				world:      w,
 				ID:         id,
 				Node:       n,
 				Socket:     l * sockets / ranksPerNode,
-				progress:   sim.NewResource(m.Eng, fmt.Sprintf("rank%d.progress", id), 1),
-				copyEngine: flownet.NewLink(fmt.Sprintf("rank%d.copy", id), m.Params.ShmCopyBW),
+				progress:   sim.NewResource(m.Eng, name+".progress", 1),
+				copyEngine: flownet.NewLink(name+".copy", m.Params.ShmCopyBW),
 				recvs:      make(map[matchKey][]*Request),
 				sends:      make(map[matchKey][]*Request),
 			}

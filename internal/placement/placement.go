@@ -38,11 +38,12 @@ func FlowMatrixBoundary(h *part.Hier, node part.Dim3, radius, quantities, elemSi
 	for i := range w {
 		w[i] = make([]float64, n)
 	}
+	dirs := part.Directions26()
 	for a := 0; a < n; a++ {
 		ga := h.GPUIndex(a)
 		_, size := h.Subdomain(node, ga)
 		global := h.GlobalIndex(node, ga)
-		for _, dir := range part.Directions26() {
+		for _, dir := range dirs {
 			var nb part.Dim3
 			if open {
 				var ok bool
@@ -197,7 +198,11 @@ func Place(h *part.Hier, node part.Dim3, bw [][]float64, radius, quantities, ele
 
 // PlaceBoundary is Place with selectable boundary conditions.
 func PlaceBoundary(h *part.Hier, node part.Dim3, bw [][]float64, radius, quantities, elemSize int, nodeAware, open bool) *Assignment {
-	w := FlowMatrixBoundary(h, node, radius, quantities, elemSize, open)
+	return PlaceFlow(FlowMatrixBoundary(h, node, radius, quantities, elemSize, open), bw, nodeAware)
+}
+
+// PlaceFlow is Place for a node whose flow matrix w is already built.
+func PlaceFlow(w, bw [][]float64, nodeAware bool) *Assignment {
 	d := DistanceMatrix(bw)
 	if !nodeAware {
 		f := Trivial(len(w))
@@ -205,6 +210,79 @@ func PlaceBoundary(h *part.Hier, node part.Dim3, bw [][]float64, radius, quantit
 	}
 	f, c := SolveAuto(w, d)
 	return NewAssignment(f, c)
+}
+
+// Memo solves each distinct placement problem once. The nodes of one job
+// often pose the same problem (equal flow and bandwidth matrices), and
+// PlaceFlow is deterministic, so a repeat returns the first solve's
+// Assignment: callers share it and must not modify it. The zero Memo is
+// ready to use.
+type Memo struct {
+	solved map[memoKey][]memoEntry
+}
+
+type memoKey struct {
+	hash      uint64 // of both matrices' float64 bits
+	nodeAware bool
+}
+
+type memoEntry struct {
+	w, bw [][]float64
+	a     *Assignment
+}
+
+// Place returns PlaceFlow(w, bw, nodeAware), solving it only if no earlier
+// call had the same arguments bit for bit. It keeps w and bw, which the
+// caller must not modify afterwards.
+func (m *Memo) Place(w, bw [][]float64, nodeAware bool) *Assignment {
+	k := memoKey{hashBits(hashBits(fnvOffset, w), bw), nodeAware}
+	for _, e := range m.solved[k] {
+		if sameBits(e.w, w) && sameBits(e.bw, bw) {
+			return e.a
+		}
+	}
+	a := PlaceFlow(w, bw, nodeAware)
+	if m.solved == nil {
+		m.solved = make(map[memoKey][]memoEntry)
+	}
+	m.solved[k] = append(m.solved[k], memoEntry{w: w, bw: bw, a: a})
+	return a
+}
+
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// hashBits folds a matrix's shape and float64 bits into an FNV-1a hash, a
+// word at a time.
+func hashBits(h uint64, m [][]float64) uint64 {
+	h = (h ^ uint64(len(m))) * fnvPrime
+	for _, row := range m {
+		h = (h ^ uint64(len(row))) * fnvPrime
+		for _, v := range row {
+			h = (h ^ math.Float64bits(v)) * fnvPrime
+		}
+	}
+	return h
+}
+
+// sameBits reports whether a and b have the same shape and float64 bits.
+func sameBits(a, b [][]float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			return false
+		}
+		for j := range a[i] {
+			if math.Float64bits(a[i][j]) != math.Float64bits(b[i][j]) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // TotalFlow sums all off-diagonal flow; useful to sanity-check scenarios.

@@ -1,7 +1,9 @@
 package placement
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -431,5 +433,52 @@ func TestCostEvictMatchesCostOnPermutations(t *testing.T) {
 	f := []int{2, 0, 3, 1}
 	if got, want := CostEvict(w, d, f), Cost(w, d, f); got != want {
 		t.Errorf("CostEvict %g != Cost %g on a permutation", got, want)
+	}
+}
+
+// TestMemoSharesOnlyEqualProblems: a Memo returns the first solve's
+// Assignment for a problem equal bit for bit (in fresh slices), and solves
+// again when any bit of either matrix or the nodeAware flag differs.
+func TestMemoSharesOnlyEqualProblems(t *testing.T) {
+	clone := func(m [][]float64) [][]float64 {
+		out := make([][]float64, len(m))
+		for i := range m {
+			out[i] = append([]float64(nil), m[i]...)
+		}
+		return out
+	}
+	rng := rand.New(rand.NewSource(3))
+	w, d := randomInstance(rng, 6)
+	bw := make([][]float64, len(d))
+	for i := range d {
+		bw[i] = make([]float64, len(d))
+		for j := range d {
+			bw[i][j] = 1 + float64(i+j)
+		}
+	}
+	var m Memo
+	first := m.Place(w, bw, true)
+	if got := m.Place(clone(w), clone(bw), true); got != first {
+		t.Fatal("an equal problem was solved again")
+	}
+	w2 := clone(w)
+	w2[2][2] = math.Copysign(0, -1) // -0 == 0, but the bits differ
+	bw2 := clone(bw)
+	bw2[1][0] = math.Nextafter(bw2[1][0], 0)
+	for name, c := range map[string]struct {
+		w, bw     [][]float64
+		nodeAware bool
+	}{
+		"flow bits":  {w2, bw, true},
+		"bandwidth":  {w, bw2, true},
+		"node-aware": {w, bw, false},
+	} {
+		got := m.Place(c.w, c.bw, c.nodeAware)
+		if got == first {
+			t.Errorf("%s: a different problem shared the first solve", name)
+		}
+		if want := PlaceFlow(c.w, c.bw, c.nodeAware); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: memo returned %+v, a fresh solve %+v", name, *got, *want)
+		}
 	}
 }

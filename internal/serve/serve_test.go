@@ -296,6 +296,30 @@ func TestScenarioJobRuns(t *testing.T) {
 	}
 }
 
+// A job whose virtual clock passes 2000 s (one rank pauses that long) is
+// admitted, so it must also finish, although the clock's rounding there
+// leaves residue on every finished flow.
+func TestLongPauseJobFinishes(t *testing.T) {
+	s := NewServer(Config{Workers: 1})
+	defer s.Drain()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	spec := tinySpec()
+	spec.Nodes, spec.Domain, spec.Quantities, spec.Iters = 2, "32", 2, 4
+	spec.Scenario = (&fault.Scenario{Name: "long-pause"}).PauseRank(0.001, 0, 2000)
+
+	resp, body := postSpec(t, ts, "", spec, "?wait=1")
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", resp.StatusCode, body)
+	}
+	var st Status
+	json.Unmarshal(body, &st)
+	if st.State != StateDone {
+		t.Fatalf("state %q (%s)", st.State, body)
+	}
+}
+
 func TestCancelQueuedOnly(t *testing.T) {
 	// No workers: jobs stay queued, so transitions are deterministic.
 	s := NewServer(Config{Workers: -1})
