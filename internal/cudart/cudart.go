@@ -322,7 +322,7 @@ type Stream struct {
 	prefix, suffix string
 	num            int
 	name           string
-	tail           *sim.Signal // completion of the most recently enqueued op
+	tail           *sim.Signal // completion of the most recently enqueued op, nil once it fired
 }
 
 // Name returns the stream's debug name.
@@ -340,37 +340,187 @@ func (s *Stream) Name() string {
 // Device returns the stream's device.
 func (s *Stream) Device() *Device { return s.dev }
 
-// enqueue adds an op that starts when the previous op and all extra
-// dependencies have completed. start must eventually fire done.
-func (s *Stream) enqueue(start func(done *sim.Signal), deps ...*sim.Signal) *sim.Signal {
-	eng := s.dev.rt.M.Eng
-	done := sim.NewSignal(eng, "cudart.op")
-	all := make([]*sim.Signal, 0, len(deps)+1)
-	if s.tail != nil && !s.tail.Fired() {
-		all = append(all, s.tail)
+// op is what every enqueued stream operation owns: its completion signal
+// and its count of dependencies still outstanding. The kind-specific records
+// below embed it and register themselves (as sim.Handler) on their
+// dependencies and on whatever completes them, so an enqueue allocates one
+// record and no closure.
+type op struct {
+	done    sim.Signal
+	s       *Stream
+	pending int32 // dependencies not yet fired; the op starts when none remain
+	// The op's name is prefix followed by num (left out when negative),
+	// built only for the trace hook.
+	num    int32
+	prefix string
+	kind   OpKind
+	start  sim.Time
+	bytes  int64
+}
+
+// enqueue makes o, embedded in the record h, the stream's tail and registers
+// h on the previous op and on every unfired dependency. It reports whether o
+// can start at once; otherwise h starts it when the last dependency fires.
+func (s *Stream) enqueue(o *op, h sim.Handler, deps []*sim.Signal) bool {
+	o.done.Init(s.dev.rt.M.Eng, "cudart.op")
+	o.s = s
+	if t := s.tail; t != nil && !t.Fired() {
+		o.pending++
+		t.Notify(h)
 	}
 	for _, d := range deps {
 		if d != nil && !d.Fired() {
-			all = append(all, d)
+			o.pending++
+			d.Notify(h)
 		}
 	}
-	s.tail = done
-	launch := func() { start(done) }
-	if len(all) == 0 {
-		launch()
-		return done
+	s.tail = &o.done
+	return o.pending == 0
+}
+
+// depFired counts one fired dependency and reports whether it was the last.
+func (o *op) depFired() bool {
+	o.pending--
+	return o.pending == 0
+}
+
+// forget drops the stream's reference to a finished tail: a fired tail and
+// no tail mean the same to every reader, and a stream must not keep its last
+// op's record alive.
+func (s *Stream) forget(done *sim.Signal) {
+	if s.tail == done {
+		s.tail = nil
 	}
-	// Start when the last outstanding dependency fires.
-	pending := len(all)
-	for _, dep := range all {
-		dep.OnFire(func() {
-			pending--
-			if pending == 0 {
-				launch()
-			}
-		})
+}
+
+// complete reports the op to the trace hook and fires its completion.
+func (o *op) complete() {
+	rt := o.s.dev.rt
+	if rt.OnOp != nil {
+		name := o.prefix
+		if o.num >= 0 {
+			var buf [32]byte
+			name = string(strconv.AppendInt(append(buf[:0], o.prefix...), int64(o.num), 10))
+		}
+		rt.OnOp(OpRecord{Kind: o.kind, Name: name, Device: o.s.dev.ID, Stream: o.s.Name(),
+			Start: o.start, End: rt.M.Eng.Now(), Bytes: o.bytes})
 	}
-	return done
+	o.s.forget(&o.done)
+	o.done.Fire()
+}
+
+// kernelOp is a kernel: it occupies its stream for dur, then runs commit.
+type kernelOp struct {
+	op
+	dur    sim.Time
+	commit func()
+}
+
+// Handle counts a fired dependency, starting the kernel on the last one;
+// once the kernel has started, the only thing that runs it is its
+// completion event (an engine-owned one: it never outlives the kernel).
+func (k *kernelOp) Handle() {
+	if k.pending > 0 {
+		if k.depFired() {
+			k.launch()
+		}
+		return
+	}
+	// The payload (real pack/unpack/compute) is pure per-device data work;
+	// defer it to the parallel executor. Recording and the completion
+	// signal stay in event context so trace order and scheduling are
+	// identical under any worker count.
+	if k.commit != nil {
+		key := int32(k.s.dev.ID)
+		k.s.dev.rt.M.Eng.Defer(k.commit, key, key)
+	}
+	k.complete()
+}
+
+func (k *kernelOp) launch() {
+	eng := k.s.dev.rt.M.Eng
+	k.start = eng.Now()
+	eng.AfterHandler(k.dur, k)
+}
+
+// copyOp is a copy over the links between its buffers (see path), moving
+// real bytes at completion.
+type copyOp struct {
+	op
+	dst, src       *Buffer
+	dstOff, srcOff int64
+}
+
+// path returns the links the copy crosses, from its kind and buffers (the
+// node's path tables are lookups, so the record need not carry them).
+func (c *copyOp) path() []*flownet.Link {
+	nodes := c.s.dev.rt.M.Nodes
+	switch c.kind {
+	case OpMemcpyD2D:
+		return nodes[c.src.dev.Node].DevToDevPath(c.src.dev.Local, c.dst.dev.Local)
+	case OpMemcpyD2H:
+		return nodes[c.src.dev.Node].DevToHostPath(c.src.dev.Local, c.dst.socket)
+	default: // OpMemcpyH2D
+		return nodes[c.dst.dev.Node].HostToDevPath(c.src.socket, c.dst.dev.Local)
+	}
+}
+
+// Handle counts a fired dependency, starting the copy's flow on the last
+// one; once the copy has started, the only thing that runs it is the flow's
+// completion.
+func (c *copyOp) Handle() {
+	if c.pending > 0 {
+		if c.depFired() {
+			c.launch()
+		}
+		return
+	}
+	if c.dst.data != nil && c.src.data != nil {
+		// Host-side buffers take the key of the device moving their bytes:
+		// no other deferred op touches a staging buffer within the same
+		// instant (cross-instant readers are safe after the flush).
+		c.s.dev.rt.M.Eng.Defer(func() {
+			copy(c.dst.data[c.dstOff:c.dstOff+c.bytes], c.src.data[c.srcOff:c.srcOff+c.bytes])
+		}, bufKey(c.src, c.s.dev), bufKey(c.dst, c.s.dev))
+	}
+	c.complete()
+}
+
+func (c *copyOp) launch() {
+	rt := c.s.dev.rt
+	c.start = rt.M.Eng.Now()
+	rt.M.Net.StartFlowNum(c.prefix, int(c.num), c.path(), float64(c.bytes)).Done().Notify(c)
+}
+
+// funcOp is a custom op (Enqueue) whose run fires its completion, or, with
+// no run, a marker that completes as soon as its dependencies have
+// (WaitEvent). Neither is reported to the trace hook.
+type funcOp struct {
+	op
+	run func(done *sim.Signal)
+}
+
+// Handle counts a fired dependency, starting the op on the last one; once
+// a custom op has started, the only thing that runs it is its own
+// completion, which lets the stream forget it.
+func (f *funcOp) Handle() {
+	if f.pending > 0 {
+		if f.depFired() {
+			f.launch()
+		}
+		return
+	}
+	f.s.forget(&f.done)
+}
+
+func (f *funcOp) launch() {
+	if f.run == nil {
+		f.s.forget(&f.done)
+		f.done.Fire()
+		return
+	}
+	f.done.Notify(f)
+	f.run(&f.done)
 }
 
 // Enqueue adds a custom op to the stream: run starts once the previous op
@@ -378,7 +528,11 @@ func (s *Stream) enqueue(start func(done *sim.Signal), deps ...*sim.Signal) *sim
 // simulated CUDA-aware MPI transport) use this to place their internal
 // transfers on a device's default stream.
 func (s *Stream) Enqueue(run func(done *sim.Signal), deps ...*sim.Signal) *sim.Signal {
-	return s.enqueue(run, deps...)
+	f := &funcOp{run: run}
+	if s.enqueue(&f.op, f, deps) {
+		f.launch()
+	}
+	return &f.done
 }
 
 // Streams returns all streams created on the device, including the default
@@ -436,7 +590,10 @@ func (s *Stream) EventRecord() *sim.Signal {
 // WaitEvent makes all subsequently enqueued ops wait for ev in addition to
 // stream order (cudaStreamWaitEvent).
 func (s *Stream) WaitEvent(ev *sim.Signal) {
-	s.enqueue(func(done *sim.Signal) { done.Fire() }, ev)
+	f := &funcOp{}
+	if s.enqueue(&f.op, f, []*sim.Signal{ev}) {
+		f.launch()
+	}
 }
 
 // Kernel enqueues a simulated kernel: it occupies the stream for the launch
@@ -445,57 +602,36 @@ func (s *Stream) WaitEvent(ev *sim.Signal) {
 // launch overhead. Optional deps gate the start in addition to stream order
 // (cudaStreamWaitEvent semantics). Returns the completion signal.
 func (s *Stream) Kernel(name string, bytes int64, bw float64, commit func(), deps ...*sim.Signal) *sim.Signal {
+	return s.KernelNum(name, -1, bytes, bw, commit, deps...)
+}
+
+// KernelNum is Kernel named prefix + strconv.Itoa(num), with the name built
+// only when the trace hook reads it; a negative num names the op prefix.
+func (s *Stream) KernelNum(prefix string, num int, bytes int64, bw float64, commit func(), deps ...*sim.Signal) *sim.Signal {
 	rt := s.dev.rt
-	eng := rt.M.Eng
 	dur := rt.M.Params.KernelLaunch
 	if bw > 0 {
 		dur += float64(bytes) / bw
 	}
 	dur *= s.dev.SlowFactor()
-	key := int32(s.dev.ID)
-	return s.enqueue(func(done *sim.Signal) {
-		start := eng.Now()
-		eng.After(dur, func() {
-			// The payload (real pack/unpack/compute) is pure per-device
-			// data work; defer it to the parallel executor. Recording and
-			// the completion signal stay in event context so trace order
-			// and scheduling are identical under any worker count.
-			if commit != nil {
-				eng.Defer(commit, key, key)
-			}
-			if rt.OnOp != nil {
-				rt.OnOp(OpRecord{Kind: OpKernel, Name: name, Device: s.dev.ID, Stream: s.Name(), Start: start, End: eng.Now(), Bytes: bytes})
-			}
-			done.Fire()
-		})
-	}, deps...)
+	k := &kernelOp{op: op{kind: OpKernel, bytes: bytes, prefix: prefix, num: int32(num)}, dur: dur, commit: commit}
+	if s.enqueue(&k.op, k, deps) {
+		k.launch()
+	}
+	return &k.done
 }
 
-// memcpyFlow enqueues a copy over path, moving real bytes at completion.
-func (s *Stream) memcpyFlow(kind OpKind, name string, path []*flownet.Link, dst, src *Buffer, dstOff, srcOff, bytes int64, deps ...*sim.Signal) *sim.Signal {
-	rt := s.dev.rt
-	eng := rt.M.Eng
+// memcpyFlow enqueues a copy of the given kind, moving real bytes at
+// completion.
+func (s *Stream) memcpyFlow(kind OpKind, prefix string, num int, dst, src *Buffer, dstOff, srcOff, bytes int64, deps []*sim.Signal) *sim.Signal {
 	checkRange(dst, dstOff, bytes)
 	checkRange(src, srcOff, bytes)
-	// Host-side buffers take the key of the device moving their bytes: no
-	// other deferred op touches a staging buffer within the same instant
-	// (cross-instant readers are safe after the flush).
-	k1, k2 := bufKey(src, s.dev), bufKey(dst, s.dev)
-	return s.enqueue(func(done *sim.Signal) {
-		start := eng.Now()
-		f := rt.M.Net.StartFlow(name, path, float64(bytes))
-		f.Done().OnFire(func() {
-			if dst.data != nil && src.data != nil {
-				eng.Defer(func() {
-					copy(dst.data[dstOff:dstOff+bytes], src.data[srcOff:srcOff+bytes])
-				}, k1, k2)
-			}
-			if rt.OnOp != nil {
-				rt.OnOp(OpRecord{Kind: kind, Name: name, Device: s.dev.ID, Stream: s.Name(), Start: start, End: eng.Now(), Bytes: bytes})
-			}
-			done.Fire()
-		})
-	}, deps...)
+	c := &copyOp{op: op{kind: kind, bytes: bytes, prefix: prefix, num: int32(num)},
+		dst: dst, src: src, dstOff: dstOff, srcOff: srcOff}
+	if s.enqueue(&c.op, c, deps) {
+		c.launch()
+	}
+	return &c.done
 }
 
 // bufKey is the parallel-executor key of a buffer: its owning device, or —
@@ -518,35 +654,41 @@ func checkRange(b *Buffer, off, bytes int64) {
 // stream's device path is assumed enabled by the caller for cross-device
 // copies (the exchange layer checks it).
 func (s *Stream) MemcpyPeerAsync(name string, dst *Buffer, dstOff int64, src *Buffer, srcOff int64, bytes int64, deps ...*sim.Signal) *sim.Signal {
+	return s.MemcpyPeerAsyncNum(name, -1, dst, dstOff, src, srcOff, bytes, deps...)
+}
+
+// MemcpyPeerAsyncNum is MemcpyPeerAsync named prefix + strconv.Itoa(num),
+// with the name built only when something reads it.
+func (s *Stream) MemcpyPeerAsyncNum(prefix string, num int, dst *Buffer, dstOff int64, src *Buffer, srcOff int64, bytes int64, deps ...*sim.Signal) *sim.Signal {
 	if dst.dev == nil || src.dev == nil {
 		panic("cudart: MemcpyPeerAsync requires device buffers")
 	}
 	if dst.dev.Node != src.dev.Node {
 		panic("cudart: MemcpyPeerAsync across nodes")
 	}
-	node := s.dev.rt.M.Nodes[src.dev.Node]
-	path := node.DevToDevPath(src.dev.Local, dst.dev.Local)
-	return s.memcpyFlow(OpMemcpyD2D, name, path, dst, src, dstOff, srcOff, bytes, deps...)
+	return s.memcpyFlow(OpMemcpyD2D, prefix, num, dst, src, dstOff, srcOff, bytes, deps)
 }
 
 // MemcpyAsync enqueues a device<->pinned-host copy (cudaMemcpyAsync). One
 // buffer must be a device buffer, the other a host buffer on the same node.
 func (s *Stream) MemcpyAsync(name string, dst *Buffer, dstOff int64, src *Buffer, srcOff int64, bytes int64, deps ...*sim.Signal) *sim.Signal {
+	return s.MemcpyAsyncNum(name, -1, dst, dstOff, src, srcOff, bytes, deps...)
+}
+
+// MemcpyAsyncNum is MemcpyAsync named prefix + strconv.Itoa(num), with the
+// name built only when something reads it.
+func (s *Stream) MemcpyAsyncNum(prefix string, num int, dst *Buffer, dstOff int64, src *Buffer, srcOff int64, bytes int64, deps ...*sim.Signal) *sim.Signal {
 	switch {
 	case src.dev != nil && dst.host: // D2H
 		if src.dev.Node != dst.node {
 			panic("cudart: D2H across nodes")
 		}
-		node := s.dev.rt.M.Nodes[src.dev.Node]
-		path := node.DevToHostPath(src.dev.Local, dst.socket)
-		return s.memcpyFlow(OpMemcpyD2H, name, path, dst, src, dstOff, srcOff, bytes, deps...)
+		return s.memcpyFlow(OpMemcpyD2H, prefix, num, dst, src, dstOff, srcOff, bytes, deps)
 	case dst.dev != nil && src.host: // H2D
 		if dst.dev.Node != src.node {
 			panic("cudart: H2D across nodes")
 		}
-		node := s.dev.rt.M.Nodes[dst.dev.Node]
-		path := node.HostToDevPath(src.socket, dst.dev.Local)
-		return s.memcpyFlow(OpMemcpyH2D, name, path, dst, src, dstOff, srcOff, bytes, deps...)
+		return s.memcpyFlow(OpMemcpyH2D, prefix, num, dst, src, dstOff, srcOff, bytes, deps)
 	default:
 		panic("cudart: MemcpyAsync requires one device and one pinned host buffer")
 	}

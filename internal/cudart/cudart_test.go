@@ -452,3 +452,22 @@ func TestDeviceFail(t *testing.T) {
 		t.Error("pre-existing stream stopped executing after Fail")
 	}
 }
+
+// A stream forgets its tail once the op behind it completes, whatever the
+// op kind, so no finished op record stays reachable through a stream.
+func TestFinishedOpsNotRetained(t *testing.T) {
+	e, rt := newRT(1, false)
+	d := rt.DeviceAt(0, 0)
+	s, other := d.NewStream("s"), d.NewStream("other")
+	host, dev := rt.MallocHost(0, 0, 1<<10), d.Malloc(1<<10)
+	k := s.Kernel("k", 1<<10, 1e9, nil)
+	cp := s.MemcpyAsync("d2h", host, 0, dev, 0, 1<<10, k)
+	other.WaitEvent(cp)
+	other.Enqueue(func(done *sim.Signal) { e.After(1e-6, done.Fire) })
+	e.Run()
+	for _, st := range d.Streams() {
+		if st.tail != nil || !st.Query() {
+			t.Errorf("stream %s still holds its finished tail", st.Name())
+		}
+	}
+}

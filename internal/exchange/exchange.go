@@ -19,7 +19,6 @@ package exchange
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"github.com/nodeaware/stencil/internal/cudart"
@@ -298,31 +297,8 @@ type Plan struct {
 	// verifier reads it in a later instant.
 	sentSum uint64
 
-	// names caches the per-plan op labels (built on first use, so setup
-	// pays nothing for them) so the per-iteration hot path doesn't rebuild
-	// them.
-	names *planNames
-}
-
-// planNames are the stream-op labels of one plan, built once.
-type planNames struct {
-	kernelEx, pack, unpack, peerCp, coloCp, d2h, h2d string
-}
-
-func (pl *Plan) opNames() *planNames {
-	if pl.names == nil {
-		id := strconv.Itoa(pl.ID)
-		pl.names = &planNames{
-			kernelEx: "kernelex.p" + id,
-			pack:     "pack.p" + id,
-			unpack:   "unpack.p" + id,
-			peerCp:   "peercp.p" + id,
-			coloCp:   "colocp.p" + id,
-			d2h:      "d2h.p" + id,
-			h2d:      "h2d.p" + id,
-		}
-	}
-	return pl.names
+	// payloads are the plan's real-data kernel payloads, built on first use.
+	payloads *payloads
 }
 
 // msgGroup is one rank pair's aggregated inter-node message.
@@ -337,10 +313,8 @@ type msgGroup struct {
 
 // groupState is a msgGroup's per-iteration progress.
 type groupState struct {
-	remaining  int // D2H stagings not yet complete
-	sendDone   *sim.Signal
-	recvDone   *sim.Signal
-	recvPosted bool
+	remaining int          // D2H stagings not yet complete
+	recv      *mpi.Request // the combined receive, posted by the first receiver
 }
 
 // Exchanger owns the full simulated job: machine, runtimes, decomposition,
@@ -362,6 +336,10 @@ type Exchanger struct {
 	dirs        []part.Dim3
 	sendDuties  [][]*Plan // per rank
 	recvDuties  [][]*Plan
+
+	// machines holds every plan's sender and receiver state machine (see
+	// planMachines).
+	machines []planMachine
 
 	// Per-iteration cross-rank rendezvous for COLOCATEDMEMCPY events.
 	slots map[slotKey]*sim.Signal
@@ -904,11 +882,7 @@ func (e *Exchanger) groupStateOf(g *msgGroup, iter int) *groupState {
 	if gs, ok := e.groupStates[k]; ok {
 		return gs
 	}
-	gs := &groupState{
-		remaining: len(g.plans),
-		sendDone:  sim.NewSignal(e.Eng, "exchange.group.send"),
-		recvDone:  sim.NewSignal(e.Eng, "exchange.group.recv"),
-	}
+	gs := &groupState{remaining: len(g.plans)}
 	e.groupStates[k] = gs
 	return gs
 }
@@ -950,6 +924,21 @@ func (e *Exchanger) slot(plan, iter int) *sim.Signal {
 	s := sim.NewSignal(e.Eng, "exchange.slot")
 	e.slots[k] = s
 	return s
+}
+
+// dropRendezvous frees iteration iter's cross-rank rendezvous state. The
+// coordinator calls it when every machine that could look the entries up
+// has finished: at the end of the iteration's safe point, and after a
+// verifier re-exchange under its own key.
+func (e *Exchanger) dropRendezvous(iter int) {
+	if len(e.slots) > 0 {
+		for _, pl := range e.Plans {
+			delete(e.slots, slotKey{pl.ID, iter})
+		}
+	}
+	for _, g := range e.groups {
+		delete(e.groupStates, slotKey{g.id, iter})
+	}
 }
 
 func neg(d part.Dim3) part.Dim3 { return part.Dim3{X: -d.X, Y: -d.Y, Z: -d.Z} }

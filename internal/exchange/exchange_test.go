@@ -450,3 +450,47 @@ func TestInvalidOptions(t *testing.T) {
 		t.Error("zero radius accepted")
 	}
 }
+
+// The per-iteration rendezvous state (COLOCATEDMEMCPY slots, aggregated
+// message groups) is freed at each iteration's safe point: over a long run
+// neither map holds more than two iterations' entries at any safe point,
+// and the halos still land correctly.
+func TestRendezvousStateBounded(t *testing.T) {
+	opts := Options{
+		Nodes: 8, RanksPerNode: 2, Domain: part.Dim3{X: 48, Y: 24, Z: 24},
+		Radius: 1, Quantities: 1, ElemSize: 4, Caps: CapsColo(), NodeAware: true,
+		RealData: true, AggregateRemote: true,
+	}
+	var e *Exchanger
+	var polls, maxSlots, maxGroups int
+	opts.Preempt = func() bool { // polled by the coordinator at each safe point
+		polls++
+		maxSlots = max(maxSlots, len(e.slots))
+		maxGroups = max(maxGroups, len(e.groupStates))
+		return false
+	}
+	e, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	colocated := e.MethodCounts()[MethodColocated]
+	if colocated == 0 || len(e.groups) == 0 {
+		t.Fatalf("configuration has %d colocated plans and %d groups; the test needs both", colocated, len(e.groups))
+	}
+	fillGlobal(e)
+	const iters = 20
+	e.Run(iters)
+	if polls != iters {
+		t.Fatalf("%d safe points, want %d", polls, iters)
+	}
+	if maxSlots == 0 || maxSlots > 2*colocated {
+		t.Errorf("slots peaked at %d entries, want 1 to %d (two iterations of %d colocated plans)", maxSlots, 2*colocated, colocated)
+	}
+	if maxGroups == 0 || maxGroups > 2*len(e.groups) {
+		t.Errorf("group states peaked at %d entries, want 1 to %d (two iterations of %d groups)", maxGroups, 2*len(e.groups), len(e.groups))
+	}
+	if len(e.slots) != 0 || len(e.groupStates) != 0 {
+		t.Errorf("%d slots and %d group states left after the run", len(e.slots), len(e.groupStates))
+	}
+	verifyHalos(t, e)
+}

@@ -157,29 +157,6 @@ func (st *overlapIterState) channeled(pl *Plan) bool {
 	return st != nil && pl.Src.NodeID != pl.Dst.NodeID
 }
 
-// wrapMachine decorates a top-level state machine so its completion counts
-// toward the plan's arrival fan-in; without a ledger it returns s unchanged.
-func (st *overlapIterState) wrapMachine(pl *Plan, s *step) *step {
-	if st == nil {
-		return s
-	}
-	return wrapStep(s, st.arrival[pl.ID].Done)
-}
-
-func wrapStep(s *step, onDone func()) *step {
-	return &step{sig: s.sig, next: func(p *sim.Proc) *step {
-		var ns *step
-		if s.next != nil {
-			ns = s.next(p)
-		}
-		if ns == nil {
-			onDone()
-			return nil
-		}
-		return wrapStep(ns, onDone)
-	}}
-}
-
 // verifyPump is the pipelined verifier for one iteration: quadrants are
 // checksummed as their plans' arrival fan-ins fire, not at a global scan.
 // Each runs barrier mode's round loop (verifyRounds), so counters, round
@@ -247,12 +224,12 @@ func (e *Exchanger) launchOverlapCompute(p *sim.Proc, rank int, st *overlapIterS
 		if cb := s.Dom.CoreBytes(); cb > 0 {
 			e.RT.LaunchCost(p)
 			done = append(done, s.kernelStream.Kernel(
-				fmt.Sprintf("compute.core.%v", s.Global), cb, e.M.Params.PackBW,
+				e.computeName("compute.core.", s), cb, e.M.Params.PackBW,
 				func() {}))
 		}
 		e.RT.LaunchCost(p)
 		done = append(done, s.kernelStream.Kernel(
-			fmt.Sprintf("compute.border.%v", s.Global), s.Dom.BorderBytes(), e.M.Params.PackBW,
+			e.computeName("compute.border.", s), s.Dom.BorderBytes(), e.M.Params.PackBW,
 			func() { compute(s) }, st.ready[s].Sig()))
 	}
 	return done

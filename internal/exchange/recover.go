@@ -499,6 +499,7 @@ func (rc *recovery) restoreAll(p *sim.Proc, moved []int) {
 // the outage is honored here, exactly once.
 func (e *Exchanger) rebuildPlans() {
 	e.Plans = nil
+	e.machines = nil
 	e.groups = nil
 	e.sendDuties, e.recvDuties = nil, nil
 	e.planPaths = nil

@@ -9,59 +9,128 @@ import (
 	"github.com/nodeaware/stencil/internal/telemetry"
 )
 
-// step is one state of a sender/receiver state machine (§III-D): when sig
-// fires, next runs on the owning rank's CPU (charging its costs) and returns
-// the successor state, or nil when the machine is done.
-type step struct {
-	sig  *sim.Signal
-	next func(p *sim.Proc) *step
+// planMachine is one side of a plan's exchange, its sender or its receiver
+// state machine (§III-D): it waits on sig, and once sig fires the owning
+// rank runs the next state on its CPU (charging its costs). Each plan has
+// two, reused every iteration (see planMachines): the safe point proves
+// every machine of an iteration finished before any rank starts the next
+// one, and a verifier re-exchange starts a plan's machines only after they
+// finished. A waiting machine registers itself on its signal, so driving
+// one allocates nothing.
+type planMachine struct {
+	d    *stepDriver
+	pl   *Plan
+	sig  *sim.Signal // what the machine waits on; nil once it finished
+	next mstate      // what the rank runs when sig fires
 }
 
-// senderSteps issues the send side of a plan and returns the state machines
-// the rank must drive to completion. Pure-CUDA methods return a single
-// terminal step (their chain lives entirely on streams); MPI-coupled methods
-// return multi-state machines. led is the overlap ledger of the iteration
-// being driven, nil in barrier mode and for verifier re-exchanges.
-func (e *Exchanger) senderSteps(p *sim.Proc, pl *Plan, iter int, led *overlapIterState) []*step {
+// mstate is the state a machine runs once its signal fires.
+type mstate uint8
+
+const (
+	mDone   mstate = iota // nothing: the machine finishes
+	mSend                 // staged or packed: hand the payload to MPI
+	mUnpack               // landed: copy it to the device (STAGED) and unpack
+)
+
+// planMachines returns a plan's sender and receiver machines. They live in
+// one slice for the whole plan set, allocated by the first exchange rather
+// than by New, which keeps setup as lean as it was without them; a rebuilt
+// plan set (recovery) gets a fresh slice.
+func (e *Exchanger) planMachines(pl *Plan) []planMachine {
+	if len(e.machines) != 2*len(e.Plans) {
+		e.machines = make([]planMachine, 2*len(e.Plans))
+	}
+	return e.machines[2*pl.ID : 2*pl.ID+2]
+}
+
+// Handle queues the machine on its driver when its signal fires.
+func (m *planMachine) Handle() {
+	d := m.d
+	d.pending--
+	d.ready = append(d.ready, m)
+	d.gate.Open()
+}
+
+// stepDriver drives a rank's state machines of one iteration to completion
+// with a ready queue: each waiting machine is queued when its signal fires,
+// and the rank process parks on one reusable Gate instead of re-registering
+// with every outstanding signal per wake (a WaitAny loop is quadratic in the
+// number of in-flight transfers). led is the iteration's overlap ledger, nil
+// in barrier mode and for verifier re-exchanges.
+type stepDriver struct {
+	e       *Exchanger
+	iter    int
+	led     *overlapIterState
+	gate    *sim.Gate
+	pending int // machines whose signal has not fired yet
+	ready   []*planMachine
+	cursor  int
+}
+
+// payloads are a plan's kernel payloads (the real pack, unpack and
+// self-exchange), built on its first real-data exchange. Time-only runs have
+// none: their payloads would be no-ops.
+type payloads struct {
+	self, pack, unpack func()
+}
+
+var noPayloads payloads
+
+func (e *Exchanger) payloadsOf(pl *Plan) *payloads {
+	if !e.Opts.RealData {
+		return &noPayloads
+	}
+	if pl.payloads == nil {
+		pl.payloads = &payloads{
+			self:   func() { pl.Src.Dom.SelfExchange(pl.Dir) },
+			pack:   e.packPayload(pl),
+			unpack: func() { pl.Dst.Dom.Unpack(pl.devRecv.Data(), neg(pl.Dir)) },
+		}
+	}
+	return pl.payloads
+}
+
+// startSend issues the send side of a plan and returns its sender machine.
+// Pure-CUDA methods finish with their stream chain; MPI-coupled methods have
+// a second state.
+func (d *stepDriver) startSend(p *sim.Proc, pl *Plan) *planMachine {
+	e := d.e
 	rt := e.RT
-	nm := pl.opNames()
+	bw := e.M.Params.PackBW
+	pay := e.payloadsOf(pl)
+	m := &e.planMachines(pl)[0]
+	*m = planMachine{d: d, pl: pl}
 	switch pl.Method {
 	case MethodKernel:
 		// One kernel moves the wrapped halo inside device memory; no pack
 		// or unpack (lowest-overhead method).
 		rt.LaunchCost(p)
-		done := pl.Src.kernelStream.Kernel(
-			nm.kernelEx, pl.Bytes, e.M.Params.PackBW,
-			func() { pl.Src.Dom.SelfExchange(pl.Dir) })
-		return []*step{{sig: done}}
+		m.sig = pl.Src.kernelStream.KernelNum("kernelex.p", pl.ID, pl.Bytes, bw, pay.self)
 
 	case MethodPeer:
 		// pack -> cudaMemcpyPeerAsync -> unpack; the whole chain is CUDA
 		// ops, ordered by streams and an event dependency.
 		rt.LaunchCost(p)
-		pl.sendStream.Kernel(nm.pack, pl.Bytes, e.M.Params.PackBW,
-			func() { pl.Src.Dom.Pack(pl.devSend.Data(), pl.Dir) })
+		pl.sendStream.KernelNum("pack.p", pl.ID, pl.Bytes, bw, pay.pack)
 		rt.IssueCost(p)
-		cp := pl.sendStream.MemcpyPeerAsync(nm.peerCp,
+		cp := pl.sendStream.MemcpyPeerAsyncNum("peercp.p", pl.ID,
 			pl.devRecv, 0, pl.devSend, 0, pl.Bytes)
 		rt.LaunchCost(p)
-		up := pl.recvStream.Kernel(nm.unpack, pl.Bytes, e.M.Params.PackBW,
-			func() { pl.Dst.Dom.Unpack(pl.devRecv.Data(), neg(pl.Dir)) }, cp)
-		return []*step{{sig: up}}
+		m.sig = pl.recvStream.KernelNum("unpack.p", pl.ID, pl.Bytes, bw, pay.unpack, cp)
 
 	case MethodColocated:
 		// The destination buffer was IPC-opened at setup; the copy goes
 		// straight into the receiving rank's device memory and a shared
 		// event (the slot) tells the receiver it landed.
-		slot := e.slot(pl.ID, iter)
+		slot := e.slot(pl.ID, d.iter)
 		rt.LaunchCost(p)
-		pl.sendStream.Kernel(nm.pack, pl.Bytes, e.M.Params.PackBW,
-			func() { pl.Src.Dom.Pack(pl.devSend.Data(), pl.Dir) })
+		pl.sendStream.KernelNum("pack.p", pl.ID, pl.Bytes, bw, pay.pack)
 		rt.IssueCost(p)
-		cp := pl.sendStream.MemcpyPeerAsync(nm.coloCp,
+		cp := pl.sendStream.MemcpyPeerAsyncNum("colocp.p", pl.ID,
 			pl.devRecv, 0, pl.devSend, 0, pl.Bytes)
-		cp.OnFire(slot.Fire)
-		return []*step{{sig: cp}}
+		cp.Forward(slot)
+		m.sig = cp
 
 	case MethodStaged:
 		// pack -> D2H on the stream; once staged, the CPU hands the host
@@ -69,177 +138,176 @@ func (e *Exchanger) senderSteps(p *sim.Proc, pl *Plan, iter int, led *overlapIte
 		// the rank pair's shared buffer; the last staging triggers one
 		// combined Isend.
 		rt.LaunchCost(p)
-		pl.sendStream.Kernel(nm.pack, pl.Bytes, e.M.Params.PackBW, e.packPayload(pl))
+		pl.sendStream.KernelNum("pack.p", pl.ID, pl.Bytes, bw, pay.pack)
 		rt.IssueCost(p)
+		host, off := pl.hostSend, int64(0)
 		if g := pl.group; g != nil {
-			d2h := pl.sendStream.MemcpyAsync(nm.d2h,
-				g.hostSend, pl.aggOffset, pl.devSend, 0, pl.Bytes)
-			return []*step{{sig: d2h, next: func(p *sim.Proc) *step {
-				gs := e.groupStateOf(g, iter)
-				gs.remaining--
-				if gs.remaining > 0 {
-					// Only the final staging carries the chain forward;
-					// waiting here per-plan would deadlock the serial
-					// (NoOverlap) driver before the group ever sends.
-					return nil
-				}
-				req := e.W.Rank(g.srcRank).Isend(g.dstRank, g.tag, g.hostSend, 0, g.bytes)
-				req.Done().OnFire(gs.sendDone.Fire)
-				return &step{sig: gs.sendDone}
-			}}}
+			host, off = g.hostSend, pl.aggOffset
 		}
-		d2h := pl.sendStream.MemcpyAsync(nm.d2h,
-			pl.hostSend, 0, pl.devSend, 0, pl.Bytes)
-		if led.channeled(pl) {
-			// One Start on the plan's persistent channel; the machine
-			// terminates at payload acceptance and the ACK tail drains in
-			// the background (the send buffer is not re-read after
-			// acceptance — later deliveries of the same sequence number are
-			// deduplicated without touching it — and the next iteration's
-			// pack cannot start before the coordinator passes this
-			// iteration's safe point).
-			return []*step{{sig: d2h, next: func(p *sim.Proc) *step {
-				acc := led.acceptedOf(e, pl)
-				ch := e.W.OpenChannel(e.W.Rank(pl.Src.Rank), e.W.Rank(pl.Dst.Rank), pl.Tag)
-				ch.Start(pl.hostSend, 0, pl.hostRecv, 0, pl.Bytes, acc.Fire, func() {})
-				return &step{sig: acc}
-			}}}
-		}
-		return []*step{{sig: d2h, next: func(p *sim.Proc) *step {
-			req := e.W.Rank(pl.Src.Rank).Isend(pl.Dst.Rank, pl.Tag, pl.hostSend, 0, pl.Bytes)
-			return &step{sig: req.Done()}
-		}}}
+		m.sig = pl.sendStream.MemcpyAsyncNum("d2h.p", pl.ID, host, off, pl.devSend, 0, pl.Bytes)
+		m.next = mSend
 
 	case MethodCudaAware:
 		// pack on the stream; once packed, the device buffer goes straight
 		// to MPI (which internally serializes on the default stream).
 		rt.LaunchCost(p)
-		pack := pl.sendStream.Kernel(nm.pack, pl.Bytes, e.M.Params.PackBW, e.packPayload(pl))
-		return []*step{{sig: pack, next: func(p *sim.Proc) *step {
-			req := e.W.Rank(pl.Src.Rank).Isend(pl.Dst.Rank, pl.Tag, pl.devSend, 0, pl.Bytes)
-			return &step{sig: req.Done()}
-		}}}
+		m.sig = pl.sendStream.KernelNum("pack.p", pl.ID, pl.Bytes, bw, pay.pack)
+		m.next = mSend
+
+	default:
+		panic("exchange: unknown method")
 	}
-	panic("exchange: unknown method")
+	return m
 }
 
-// recverSteps issues the receive side of a plan for methods that need one;
-// led is as for senderSteps.
-func (e *Exchanger) recverSteps(p *sim.Proc, pl *Plan, iter int, led *overlapIterState) []*step {
-	rt := e.RT
-	nm := pl.opNames()
-	switch pl.Method {
-	case MethodKernel, MethodPeer:
+// startRecv issues the receive side of a plan and returns its receiver
+// machine, or nil for methods the sender's rank completes alone.
+func (d *stepDriver) startRecv(p *sim.Proc, pl *Plan) *planMachine {
+	if pl.Method == MethodKernel || pl.Method == MethodPeer {
 		return nil // handled entirely by the sender's rank (same process)
-
+	}
+	e := d.e
+	m := &e.planMachines(pl)[1]
+	*m = planMachine{d: d, pl: pl, next: mUnpack}
+	switch pl.Method {
 	case MethodColocated:
-		slot := e.slot(pl.ID, iter)
+		slot := e.slot(pl.ID, d.iter)
 		if e.Opts.NoOverlap {
 			// Serial mode must not pre-enqueue stream work gated on another
 			// rank's future copy: a CUDA-aware transfer's device-wide
 			// synchronization could then wait on an event that only fires
 			// after this rank unblocks — a deadlock. Wait on the CPU
 			// instead, then launch the unpack.
-			return []*step{{sig: slot, next: func(p *sim.Proc) *step {
-				rt.LaunchCost(p)
-				up := pl.recvStream.Kernel(nm.unpack, pl.Bytes, e.M.Params.PackBW,
-					func() { pl.Dst.Dom.Unpack(pl.devRecv.Data(), neg(pl.Dir)) })
-				return &step{sig: up}
-			}}}
+			m.sig = slot
+			break
 		}
 		// Pre-launch the unpack gated on the shared IPC event; the stream
 		// waits, the CPU does not.
-		rt.LaunchCost(p)
-		up := pl.recvStream.Kernel(nm.unpack, pl.Bytes, e.M.Params.PackBW,
-			func() { pl.Dst.Dom.Unpack(pl.devRecv.Data(), neg(pl.Dir)) }, slot)
-		return []*step{{sig: up}}
+		e.RT.LaunchCost(p)
+		m.sig = pl.recvStream.KernelNum("unpack.p", pl.ID, pl.Bytes, e.M.Params.PackBW,
+			e.payloadsOf(pl).unpack, slot)
+		m.next = mDone
 
 	case MethodStaged:
-		if g := pl.group; g != nil {
-			gs := e.groupStateOf(g, iter)
-			if !gs.recvPosted {
-				gs.recvPosted = true
-				req := e.W.Rank(g.dstRank).Irecv(g.srcRank, g.tag, g.hostRecv, 0, g.bytes)
-				req.Done().OnFire(gs.recvDone.Fire)
+		switch {
+		case pl.group != nil:
+			g := pl.group
+			gs := e.groupStateOf(g, d.iter)
+			if gs.recv == nil {
+				gs.recv = e.W.Rank(g.dstRank).Irecv(g.srcRank, g.tag, g.hostRecv, 0, g.bytes)
 			}
-			return []*step{{sig: gs.recvDone, next: func(p *sim.Proc) *step {
-				rt.IssueCost(p)
-				pl.recvStream.MemcpyAsync(nm.h2d,
-					pl.devRecv, 0, g.hostRecv, pl.aggOffset, pl.Bytes)
-				rt.LaunchCost(p)
-				up := pl.recvStream.Kernel(nm.unpack, pl.Bytes, e.M.Params.PackBW,
-					func() { pl.Dst.Dom.Unpack(pl.devRecv.Data(), neg(pl.Dir)) })
-				return &step{sig: up}
-			}}}
-		}
-		var landed *sim.Signal
-		if led.channeled(pl) {
+			m.sig = gs.recv.Done()
+		case d.led.channeled(pl):
 			// Released at the channel's payload acceptance, not at the
 			// sender's ACK.
-			landed = led.acceptedOf(e, pl)
-		} else {
-			landed = e.W.Rank(pl.Dst.Rank).Irecv(pl.Src.Rank, pl.Tag, pl.hostRecv, 0, pl.Bytes).Done()
+			m.sig = d.led.acceptedOf(e, pl)
+		default:
+			m.sig = e.W.Rank(pl.Dst.Rank).Irecv(pl.Src.Rank, pl.Tag, pl.hostRecv, 0, pl.Bytes).Done()
 		}
-		return []*step{{sig: landed, next: func(p *sim.Proc) *step {
-			rt.IssueCost(p)
-			pl.recvStream.MemcpyAsync(nm.h2d,
-				pl.devRecv, 0, pl.hostRecv, 0, pl.Bytes)
-			rt.LaunchCost(p)
-			up := pl.recvStream.Kernel(nm.unpack, pl.Bytes, e.M.Params.PackBW,
-				func() { pl.Dst.Dom.Unpack(pl.devRecv.Data(), neg(pl.Dir)) })
-			return &step{sig: up}
-		}}}
 
 	case MethodCudaAware:
-		req := e.W.Rank(pl.Dst.Rank).Irecv(pl.Src.Rank, pl.Tag, pl.devRecv, 0, pl.Bytes)
-		return []*step{{sig: req.Done(), next: func(p *sim.Proc) *step {
-			rt.LaunchCost(p)
-			up := pl.recvStream.Kernel(nm.unpack, pl.Bytes, e.M.Params.PackBW,
-				func() { pl.Dst.Dom.Unpack(pl.devRecv.Data(), neg(pl.Dir)) })
-			return &step{sig: up}
-		}}}
+		m.sig = e.W.Rank(pl.Dst.Rank).Irecv(pl.Src.Rank, pl.Tag, pl.devRecv, 0, pl.Bytes).Done()
+
+	default:
+		panic("exchange: unknown method")
 	}
-	panic("exchange: unknown method")
+	return m
 }
 
-// stepDriver drives a rank's state machines to completion with a ready
-// queue: each step registers a single OnFire callback that enqueues it when
-// its signal fires, and the rank process parks on one reusable Gate instead
-// of re-registering with every outstanding signal per wake (the previous
-// WaitAny loop was quadratic in the number of in-flight transfers).
-type stepDriver struct {
-	gate    *sim.Gate
-	pending int // steps whose signal has not fired yet
-	ready   []*step
-	cursor  int
+// advance runs a machine's next state once its signal has fired and
+// reports whether it waits again. A finished machine drops its signal (and
+// so the op or request behind it) and, with an overlap ledger, counts
+// toward its plan's arrival fan-in.
+func (d *stepDriver) advance(p *sim.Proc, m *planMachine) bool {
+	switch m.next {
+	case mSend:
+		if d.send(m) {
+			return true
+		}
+	case mUnpack:
+		d.unpack(p, m)
+		return true
+	}
+	m.sig, m.d = nil, nil
+	if d.led != nil {
+		d.led.arrival[m.pl.ID].Done()
+	}
+	return false
 }
 
-func (d *stepDriver) add(st *step) {
-	if st.sig.Fired() {
-		d.ready = append(d.ready, st)
+// send hands a staged or packed payload to MPI. It reports false when an
+// aggregated plan's staging is not its group's last: only the final staging
+// carries the chain forward (waiting per plan would deadlock the serial
+// NoOverlap driver before the group ever sends).
+func (d *stepDriver) send(m *planMachine) bool {
+	e, pl := d.e, m.pl
+	m.next = mDone
+	switch {
+	case pl.group != nil:
+		g := pl.group
+		gs := e.groupStateOf(g, d.iter)
+		gs.remaining--
+		if gs.remaining > 0 {
+			return false
+		}
+		m.sig = e.W.Rank(g.srcRank).Isend(g.dstRank, g.tag, g.hostSend, 0, g.bytes).Done()
+	case d.led.channeled(pl):
+		// One Start on the plan's persistent channel; the machine finishes
+		// at payload acceptance and the ACK tail drains in the background
+		// (the send buffer is not re-read after acceptance — later
+		// deliveries of the same sequence number are deduplicated without
+		// touching it — and the next iteration's pack cannot start before
+		// the coordinator passes this iteration's safe point).
+		acc := d.led.acceptedOf(e, pl)
+		ch := e.W.OpenChannel(e.W.Rank(pl.Src.Rank), e.W.Rank(pl.Dst.Rank), pl.Tag)
+		ch.Start(pl.hostSend, 0, pl.hostRecv, 0, pl.Bytes, acc.Fire, func() {})
+		m.sig = acc
+	case pl.Method == MethodCudaAware:
+		m.sig = e.W.Rank(pl.Src.Rank).Isend(pl.Dst.Rank, pl.Tag, pl.devSend, 0, pl.Bytes).Done()
+	default:
+		m.sig = e.W.Rank(pl.Src.Rank).Isend(pl.Dst.Rank, pl.Tag, pl.hostSend, 0, pl.Bytes).Done()
+	}
+	return true
+}
+
+// unpack copies a landed STAGED payload to the device and unpacks it; the
+// other methods' payloads are already in device memory.
+func (d *stepDriver) unpack(p *sim.Proc, m *planMachine) {
+	e, pl := d.e, m.pl
+	rt := e.RT
+	if pl.Method == MethodStaged {
+		host, off := pl.hostRecv, int64(0)
+		if g := pl.group; g != nil {
+			host, off = g.hostRecv, pl.aggOffset
+		}
+		rt.IssueCost(p)
+		pl.recvStream.MemcpyAsyncNum("h2d.p", pl.ID, pl.devRecv, 0, host, off, pl.Bytes)
+	}
+	rt.LaunchCost(p)
+	m.sig = pl.recvStream.KernelNum("unpack.p", pl.ID, pl.Bytes, e.M.Params.PackBW, e.payloadsOf(pl).unpack)
+	m.next = mDone
+}
+
+func (d *stepDriver) add(m *planMachine) {
+	if m.sig.Fired() {
+		d.ready = append(d.ready, m)
 		return
 	}
 	d.pending++
-	st.sig.OnFire(func() {
-		d.pending--
-		d.ready = append(d.ready, st)
-		d.gate.Open()
-	})
+	m.sig.Notify(m)
 }
 
-// drain advances fired steps in fire order until no machine remains. A
-// step's continuation may sleep, which lets further steps fire and extend
-// the ready queue mid-scan; the cursor loop picks them up in order.
+// drain advances fired machines in fire order until none remains. A
+// machine's next state may sleep, which lets further machines fire and
+// extend the ready queue mid-scan; the cursor loop picks them up in order.
 func (d *stepDriver) drain(p *sim.Proc) {
 	for {
 		for d.cursor < len(d.ready) {
-			st := d.ready[d.cursor]
+			m := d.ready[d.cursor]
 			d.ready[d.cursor] = nil
 			d.cursor++
-			if st.next != nil {
-				if ns := st.next(p); ns != nil {
-					d.add(ns)
-				}
+			if d.advance(p, m) {
+				d.add(m)
 			}
 		}
 		d.ready = d.ready[:0]
@@ -254,19 +322,16 @@ func (d *stepDriver) drain(p *sim.Proc) {
 // issue posts the receive side of every plan in recvs, then the send side of
 // every plan in sends — receives first, so no send can block on an unposted
 // receive — into a fresh step driver for the caller to drain (§III-D's poll
-// loop). With an overlap ledger every machine's completion also counts
-// toward its plan's arrival fan-in.
+// loop).
 func (e *Exchanger) issue(p *sim.Proc, recvs, sends []*Plan, iter int, led *overlapIterState) *stepDriver {
-	d := &stepDriver{gate: sim.NewGate(p)}
+	d := &stepDriver{e: e, iter: iter, led: led, gate: sim.NewGate(p)}
 	for _, pl := range recvs {
-		for _, st := range e.recverSteps(p, pl, iter, led) {
-			d.add(led.wrapMachine(pl, st))
+		if m := d.startRecv(p, pl); m != nil {
+			d.add(m)
 		}
 	}
 	for _, pl := range sends {
-		for _, st := range e.senderSteps(p, pl, iter, led) {
-			d.add(led.wrapMachine(pl, st))
-		}
+		d.add(d.startSend(p, pl))
 	}
 	return d
 }
@@ -275,27 +340,24 @@ func (e *Exchanger) issue(p *sim.Proc, recvs, sends []*Plan, iter int, led *over
 // front (MPI matching requires it to avoid deadlock) but every transfer is
 // then driven to completion before the next one starts.
 func (e *Exchanger) runIterationSerial(p *sim.Proc, rank, iter int) {
-	var recvs []*step
+	d := &stepDriver{e: e, iter: iter}
 	for _, pl := range e.recvDutiesOf(rank) {
-		recvs = append(recvs, e.recverSteps(p, pl, iter, nil)...)
+		d.startRecv(p, pl)
 	}
 	for _, pl := range e.sendDutiesOf(rank) {
-		for _, st := range e.senderSteps(p, pl, iter, nil) {
-			e.driveToCompletion(p, st)
-		}
+		d.driveToCompletion(p, d.startSend(p, pl))
 	}
-	for _, st := range recvs {
-		e.driveToCompletion(p, st)
+	for _, pl := range e.recvDutiesOf(rank) {
+		d.driveToCompletion(p, &e.planMachines(pl)[1])
 	}
 }
 
-func (e *Exchanger) driveToCompletion(p *sim.Proc, st *step) {
-	for st != nil {
-		st.sig.Wait(p)
-		if st.next == nil {
+func (d *stepDriver) driveToCompletion(p *sim.Proc, m *planMachine) {
+	for {
+		m.sig.Wait(p)
+		if !d.advance(p, m) {
 			return
 		}
-		st = st.next(p)
 	}
 }
 
@@ -323,10 +385,19 @@ func (e *Exchanger) launchCompute(p *sim.Proc, rank int, compute func(*Sub)) []*
 		bytes := int64(s.Dom.Size.Vol()) * int64(e.Opts.ElemSize) * int64(e.Opts.Quantities)
 		e.RT.LaunchCost(p)
 		done = append(done, s.kernelStream.Kernel(
-			fmt.Sprintf("compute.%v", s.Global), bytes, e.M.Params.PackBW,
+			e.computeName("compute.", s), bytes, e.M.Params.PackBW,
 			func() { compute(s) }))
 	}
 	return done
+}
+
+// computeName labels a subdomain's compute kernel for the op trace. Only
+// the trace hook reads kernel names, so without one none is built.
+func (e *Exchanger) computeName(prefix string, s *Sub) string {
+	if e.RT.OnOp == nil {
+		return ""
+	}
+	return fmt.Sprintf("%s%v", prefix, s.Global)
 }
 
 func (e *Exchanger) sendDutiesOf(rank int) []*Plan {
@@ -446,6 +517,10 @@ func (e *Exchanger) RunWithCompute(iterations int, compute func(*Sub)) *Stats {
 			rc.atSafePoint(it)
 		}
 		e.pollPreempt()
+		// Every rank's machines of the iteration finished before the
+		// allreduce, and verification, adaptation and checkpoints are done
+		// with its rendezvous state, so long runs stay bounded.
+		e.dropRendezvous(it)
 	}
 
 	// body is one iteration from one rank's perspective: exchange, timing
@@ -530,7 +605,8 @@ func (e *Exchanger) RunWithCompute(iterations int, compute func(*Sub)) *Stats {
 	if runSpan != nil {
 		runSpan.End(e.Eng.Now())
 	}
-	// Free the per-iteration rendezvous state.
+	// Iteration numbers restart at zero on the next Run: start it with no
+	// rendezvous state left over (each safe point already dropped its own).
 	e.slots = make(map[slotKey]*sim.Signal)
 	e.groupStates = make(map[slotKey]*groupState)
 	e.overlapStates = make(map[int]*overlapIterState)

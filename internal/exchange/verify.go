@@ -169,6 +169,7 @@ func (e *Exchanger) verifyRounds(p *sim.Proc, iter int, find func() []*Plan) {
 		key := v.nextKey
 		v.nextKey++
 		e.issue(p, bad, bad, key, nil).drain(p)
+		e.dropRendezvous(key)
 		v.reexchanges += len(bad)
 		if e.RT.OnOp != nil {
 			end := e.Eng.Now()

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strconv"
 
 	"github.com/nodeaware/stencil/internal/sim"
 )
@@ -123,22 +124,25 @@ func (l *Link) removeFlow(f *Flow) {
 	panic("flownet: flow not on link " + l.Name)
 }
 
-// Flow is an in-flight transfer across a path of links.
+// Flow is an in-flight transfer across a path of links. It embeds its
+// completion signal and its completion event, so a flow is one allocation.
 type Flow struct {
-	name       string
+	// The name is the done signal's name followed by num (left out when
+	// negative), built only by the panic messages that read it.
+	num        int32
+	pending    bool // started this instant, not yet allocated a rate
 	path       []*Link
 	total      float64 // original size in bytes
 	remaining  float64 // bytes left to move
 	rate       float64 // current allocated bytes/sec
 	lastUpdate sim.Time
-	done       *sim.Signal
-	completion *sim.Event
+	done       sim.Signal
+	completion sim.Event // scheduled while the flow has a rate
 
 	visit    uint64 // component-discovery stamp (interior)
 	assigned uint64 // water-filling stamp
 
-	net     *Network // owner, for flush-forcing accessors
-	pending bool     // started this instant, not yet allocated a rate
+	net *Network // owner, for flush-forcing accessors
 
 	// Intrusive list of active flows (Network.head), maintained so the
 	// reference oracle can enumerate the whole network without the Network
@@ -147,7 +151,23 @@ type Flow struct {
 }
 
 // Done returns the signal fired when the flow's last byte arrives.
-func (f *Flow) Done() *sim.Signal { return f.done }
+func (f *Flow) Done() *sim.Signal { return &f.done }
+
+// name returns the flow's debug name.
+func (f *Flow) name() string {
+	if f.num < 0 {
+		return f.done.Name()
+	}
+	return f.done.Name() + strconv.Itoa(int(f.num))
+}
+
+// flowCompletion is a Flow seen as the handler of its completion event.
+type flowCompletion Flow
+
+func (c *flowCompletion) Handle() {
+	f := (*Flow)(c)
+	f.net.finish(f)
+}
 
 // Rate returns the currently allocated rate in bytes/second. Rate changes
 // from the current instant are materialized first (see Network batching).
@@ -246,6 +266,7 @@ func (n *Network) flushPending() {
 	for _, f := range n.pendFlows {
 		f.pending = false
 	}
+	clear(n.pendFlows) // scratch must not keep a finished flow reachable
 	n.pendFlows = n.pendFlows[:0]
 	seeds := n.pendSeeds
 	n.rebalance(seeds)
@@ -287,20 +308,27 @@ func (n *Network) unlink(f *Flow) {
 // the current time (signal fires immediately). An empty path is not allowed:
 // model zero-cost local moves at a higher layer.
 func (n *Network) StartFlow(name string, path []*Link, bytes float64) *Flow {
-	if len(path) == 0 {
-		panic("flownet: StartFlow with empty path: " + name)
-	}
-	if bytes < 0 {
-		panic(fmt.Sprintf("flownet: negative flow size %g: %s", bytes, name))
-	}
+	return n.StartFlowNum(name, -1, path, bytes)
+}
+
+// StartFlowNum is StartFlow(prefix + strconv.Itoa(num), ...), with the name
+// built only when something reads it; a negative num names the flow prefix.
+func (n *Network) StartFlowNum(prefix string, num int, path []*Link, bytes float64) *Flow {
 	f := &Flow{
-		name:       name,
+		num:        int32(num),
 		path:       path,
 		total:      bytes,
 		remaining:  bytes,
 		lastUpdate: n.eng.Now(),
-		done:       sim.NewSignal(n.eng, name),
 	}
+	f.done.Init(n.eng, prefix)
+	if len(path) == 0 {
+		panic("flownet: StartFlow with empty path: " + f.name())
+	}
+	if bytes < 0 {
+		panic(fmt.Sprintf("flownet: negative flow size %g: %s", bytes, f.name()))
+	}
+	f.completion.Init(n.eng, (*flowCompletion)(f))
 	if bytes == 0 {
 		f.done.Fire()
 		return f
@@ -327,14 +355,13 @@ func (n *Network) finish(f *Flow) {
 	// beyond that tolerance is a scheduling bug.
 	ulp := math.Nextafter(now, math.Inf(1)) - now
 	if f.remaining > 1e-9*f.total+1e-3+4*f.rate*ulp {
-		panic(fmt.Sprintf("flownet: flow %s completed with %g bytes remaining", f.name, f.remaining))
+		panic(fmt.Sprintf("flownet: flow %s completed with %g bytes remaining", f.name(), f.remaining))
 	}
 	n.active--
 	n.unlink(f)
 	for _, l := range f.path {
 		l.removeFlow(f)
 	}
-	f.completion = nil
 	f.done.Fire()
 	n.dirty(f.path)
 }
@@ -408,8 +435,10 @@ func (n *Network) Abort(f *Flow) {
 		f.pending = false
 		for i, g := range n.pendFlows {
 			if g == f {
-				n.pendFlows[i] = n.pendFlows[len(n.pendFlows)-1]
-				n.pendFlows = n.pendFlows[:len(n.pendFlows)-1]
+				last := len(n.pendFlows) - 1
+				n.pendFlows[i] = n.pendFlows[last]
+				n.pendFlows[last] = nil
+				n.pendFlows = n.pendFlows[:last]
 				break
 			}
 		}
@@ -420,12 +449,11 @@ func (n *Network) Abort(f *Flow) {
 		}
 		return
 	}
-	if f.completion == nil {
+	if !f.completion.Scheduled() {
 		return
 	}
 	f.settle(n.eng.Now())
 	f.completion.Cancel()
-	f.completion = nil
 	n.active--
 	n.unlink(f)
 	for _, l := range f.path {
@@ -648,6 +676,12 @@ func (n *Network) rebalance(seed []*Link) {
 	}
 	n.heap = h
 	n.probeSample(links, len(flows))
+	// The scratch lists keep their capacity but not their flows: a flow
+	// that finishes must not stay reachable through them.
+	clear(flows)
+	for _, l := range links {
+		clear(l.inner)
+	}
 }
 
 // probeSample reports a rebalanced component to the installed probe.
@@ -677,9 +711,9 @@ func (n *Network) applyRate(f *Flow, rate float64) {
 	if rate <= 0 {
 		// Should not happen: every flow is on at least one link with
 		// positive capacity, so water-filling always assigns a rate.
-		panic("flownet: zero rate assigned to " + f.name)
+		panic("flownet: zero rate assigned to " + f.name())
 	}
-	if rate == f.rate && f.completion != nil && !f.completion.Cancelled() {
+	if rate == f.rate && f.completion.Scheduled() {
 		return
 	}
 	if rate != f.rate {
@@ -691,10 +725,7 @@ func (n *Network) applyRate(f *Flow, rate float64) {
 		}
 		f.rate = rate
 	}
-	eta := f.remaining / f.rate
-	if f.completion != nil {
-		n.eng.Reschedule(f.completion, eta)
-	} else {
-		f.completion = n.eng.After(eta, func() { n.finish(f) })
-	}
+	// A first schedule and a move take the same bookkeeping (see
+	// Engine.Reschedule).
+	n.eng.Reschedule(&f.completion, f.remaining/f.rate)
 }

@@ -350,3 +350,36 @@ func TestByteConservationProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Once every flow has finished, the network keeps none of them reachable:
+// its per-link flow lists and rebalance scratch keep their capacity but
+// drop their flow pointers, aborted flows included.
+func TestFinishedFlowsNotRetained(t *testing.T) {
+	e := sim.NewEngine()
+	n := New(e)
+	a, b, c := NewLink("a", 100), NewLink("b", 50), NewLink("c", 80)
+	for i := 0; i < 20; i++ {
+		path := []*Link{a, b}
+		if i%2 == 1 {
+			path = []*Link{b, c}
+		}
+		e.At(float64(i%5)*0.1, func() {
+			f := n.StartFlow("f", path, float64(100+i))
+			if i%7 == 3 {
+				n.Abort(f) // started and aborted in the same instant
+			}
+		})
+	}
+	e.Run()
+	held := 0
+	for _, fs := range [][]*Flow{n.compFlows, n.pendFlows, a.inner, b.inner, c.inner, a.flows, b.flows, c.flows} {
+		for _, f := range fs[:cap(fs)] {
+			if f != nil {
+				held++
+			}
+		}
+	}
+	if held != 0 || n.head != nil {
+		t.Errorf("%d finished flows still referenced (list head %v)", held, n.head)
+	}
+}

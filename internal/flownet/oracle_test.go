@@ -19,7 +19,7 @@ func checkAgainstOracle(t *testing.T, n *Network, when sim.Time) bool {
 	for _, f := range n.ActiveFlowList() {
 		got, want := f.Rate(), oracle[f]
 		if math.Abs(got-want) > 1e-9*math.Max(1, math.Max(got, want)) {
-			t.Errorf("t=%g flow %s: incremental rate %g, oracle %g", when, f.name, got, want)
+			t.Errorf("t=%g flow %s: incremental rate %g, oracle %g", when, f.name(), got, want)
 			ok = false
 		}
 	}

@@ -28,7 +28,7 @@ func (p *bitsProbe) Rebalanced(t sim.Time, links, flows, active int) {
 	p.log = append(p.log, math.Float64bits(t), uint64(links), uint64(flows), uint64(active))
 	for f := p.n.head; f != nil; f = f.next {
 		when := math.NaN()
-		if f.completion != nil && !f.completion.Cancelled() {
+		if f.completion.Scheduled() {
 			when = f.completion.When()
 		}
 		p.log = append(p.log, uint64(p.ids[f]), math.Float64bits(f.rate), math.Float64bits(when))

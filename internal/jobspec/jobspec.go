@@ -231,9 +231,17 @@ func (s *Spec) Normalize() error {
 // engine to factor and build an arbitrarily large machine.
 const MaxGPUs = 1 << 16
 
+// MaxRealDataBytes caps a verifying job's field, domain cells x quantities x
+// elem_size. Like MaxGPUs it is a serving limit, not an engine rule: a
+// `verify: true` job holds those bytes (plus halos and staging buffers) in
+// host memory, and the cap keeps one request from asking for more than the
+// host has.
+const MaxRealDataBytes = 1 << 30
+
 // Validate normalizes a copy, checks the wire-level fields stencil.Config
-// does not carry (iters, send_timeout, deadline_s, tenant) and the machine
-// size against MaxGPUs, and then runs
+// does not carry (iters, send_timeout, deadline_s, tenant), the machine size
+// against MaxGPUs and a verifying job's field against MaxRealDataBytes, and
+// then runs
 // stencil.Config.Validate — the engine's own admission rule — on the
 // Config the spec describes, so every spec it accepts builds. The one
 // exception is a fault event targeting hardware the machine lacks, which
@@ -266,11 +274,37 @@ func (s *Spec) Validate() error {
 		}
 		gpus *= v
 	}
+	if c.Verify {
+		if err := c.checkRealDataBytes(); err != nil {
+			return err
+		}
+	}
 	cfg, err := c.config()
 	if err != nil {
 		return err
 	}
 	return cfg.Validate()
+}
+
+// checkRealDataBytes compares a normalized spec's field size against
+// MaxRealDataBytes without forming a product that could overflow.
+func (s *Spec) checkRealDataBytes() error {
+	dim, err := ParseDomain(s.Domain)
+	if err != nil {
+		return err
+	}
+	bytes := 1
+	for _, v := range []int{dim.X, dim.Y, dim.Z, s.Quantities, s.ElemSize} {
+		if v < 1 {
+			return nil // the engine names the bad field
+		}
+		if v > MaxRealDataBytes/bytes {
+			return fmt.Errorf("jobspec: verify field %s x %d quantities x %d-byte cells exceeds %d bytes of real data",
+				s.Domain, s.Quantities, s.ElemSize, MaxRealDataBytes)
+		}
+		bytes *= v
+	}
+	return nil
 }
 
 // Config builds the stencil.Config the spec describes. The spec should be

@@ -204,6 +204,8 @@ func TestValidateErrors(t *testing.T) {
 		{"prime node count near 1e18", Spec{Nodes: 999999999999999989, RanksPerNode: 1, Domain: "12", Radius: 1, Quantities: 1}, "GPUs"},
 		{"prime node count near 2^63", Spec{Nodes: 9223372036854775783, RanksPerNode: 1, Domain: "1x1x9223372036854775807", Radius: 1, Quantities: 1}, "GPUs"},
 		{"sockets x gpus overflow", Spec{Nodes: 1, RanksPerNode: 1, Sockets: 1 << 40, GPUsPerSocket: 1 << 40, Domain: "12", Radius: 1, Quantities: 1}, "GPUs"},
+		{"verify field over the real-data cap", Spec{Nodes: 1, RanksPerNode: 2, Domain: "1024", Radius: 1, Quantities: 1, Verify: true}, "real data"},
+		{"verify field product overflow", Spec{Nodes: 1, RanksPerNode: 1, Domain: "1x1x9223372036854775807", Radius: 1, Quantities: 1 << 40, Verify: true, ElemSize: 1 << 40}, "real data"},
 		{"verify with 2-byte cells", Spec{Nodes: 1, RanksPerNode: 2, Domain: "12", Radius: 1, Quantities: 1, Verify: true, ElemSize: 2}, "ElemSize"},
 		{"negative deadline", Spec{Nodes: 1, RanksPerNode: 2, Domain: "12", Radius: 1, Quantities: 1, DeadlineSeconds: -1}, "deadline_s"},
 		{"bad tenant charset", Spec{Nodes: 1, RanksPerNode: 2, Domain: "12", Radius: 1, Quantities: 1, Tenant: "a b"}, "tenant"},
@@ -218,6 +220,29 @@ func TestValidateErrors(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// The real-data cap admits the largest verifying specs in use: the
+// benchmark's 192³ x 4 x 4-byte layer spec (about 113 MB) and a field of
+// exactly MaxRealDataBytes; one more cell is over.
+func TestRealDataCapAdmits(t *testing.T) {
+	for _, sp := range []Spec{
+		{Nodes: 2, RanksPerNode: 2, Domain: "192", Radius: 2, Quantities: 4, Caps: "kernel", Iters: 20,
+			Verify: true, Overlap: true, Reliable: true, VerifyExchange: true},
+		{Nodes: 1, RanksPerNode: 2, Domain: "512x512x1024", Radius: 1, Quantities: 1, Verify: true},
+	} {
+		if err := sp.Validate(); err != nil {
+			t.Errorf("%s: %v", sp.Domain, err)
+		}
+	}
+	over := Spec{Nodes: 1, RanksPerNode: 2, Domain: "512x512x1025", Radius: 1, Quantities: 1, Verify: true}
+	if err := over.Validate(); err == nil || !strings.Contains(err.Error(), "real data") {
+		t.Errorf("%s: error %v, want the real-data cap", over.Domain, err)
+	}
+	over.Verify = false
+	if err := over.Validate(); err != nil {
+		t.Errorf("time-only %s: %v", over.Domain, err)
 	}
 }
 

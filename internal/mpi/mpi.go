@@ -252,15 +252,15 @@ func (w *World) ActiveSize() int { return w.active }
 // Wtime returns the current virtual time (MPI_Wtime).
 func (w *World) Wtime() sim.Time { return w.M.Eng.Now() }
 
-// Request is a pending non-blocking operation (MPI_Request).
+// Request is a pending non-blocking operation (MPI_Request). It embeds its
+// completion signal.
 type Request struct {
-	done   *sim.Signal
-	rank   *Rank
-	buf    *cudart.Buffer
-	off    int64
-	bytes  int64
-	tag    int
-	isSend bool
+	done  sim.Signal
+	rank  *Rank
+	buf   *cudart.Buffer
+	off   int64
+	bytes int64
+	tag   int
 }
 
 // Wait parks the process until the operation completes (MPI_Wait).
@@ -270,7 +270,7 @@ func (r *Request) Wait(p *sim.Proc) { r.done.Wait(p) }
 func (r *Request) Test() bool { return r.done.Fired() }
 
 // Done exposes the completion signal (for WaitAny-style polling loops).
-func (r *Request) Done() *sim.Signal { return r.done }
+func (r *Request) Done() *sim.Signal { return &r.done }
 
 // Waitall parks the process until every request completes (MPI_Waitall).
 func Waitall(p *sim.Proc, reqs ...*Request) {
@@ -286,19 +286,16 @@ func (r *Rank) Isend(dst, tag int, buf *cudart.Buffer, off, bytes int64) *Reques
 	r.checkDeactivated(dst)
 	r.checkBuf(buf)
 	req := &Request{
-		done:   sim.NewSignal(r.world.M.Eng, "mpi.send"),
-		rank:   r,
-		buf:    buf,
-		off:    off,
-		bytes:  bytes,
-		tag:    tag,
-		isSend: true,
+		rank:  r,
+		buf:   buf,
+		off:   off,
+		bytes: bytes,
+		tag:   tag,
 	}
+	req.done.Init(r.world.M.Eng, "mpi.send")
 	key := matchKey{peer: r.ID, tag: tag}
 	dr := r.world.ranks[dst]
-	if lst := dr.recvs[key]; len(lst) > 0 {
-		recv := lst[0]
-		dr.recvs[key] = lst[1:]
+	if recv := take(dr.recvs, key); recv != nil {
 		r.world.transfer(req, recv)
 	} else {
 		dr.sends[key] = append(dr.sends[key], req)
@@ -312,22 +309,38 @@ func (r *Rank) Irecv(src, tag int, buf *cudart.Buffer, off, bytes int64) *Reques
 	r.checkDeactivated(src)
 	r.checkBuf(buf)
 	req := &Request{
-		done:  sim.NewSignal(r.world.M.Eng, "mpi.recv"),
 		rank:  r,
 		buf:   buf,
 		off:   off,
 		bytes: bytes,
 		tag:   tag,
 	}
+	req.done.Init(r.world.M.Eng, "mpi.recv")
 	key := matchKey{peer: src, tag: tag}
-	if lst := r.sends[key]; len(lst) > 0 {
-		send := lst[0]
-		r.sends[key] = lst[1:]
+	if send := take(r.sends, key); send != nil {
 		r.world.transfer(send, req)
 	} else {
 		r.recvs[key] = append(r.recvs[key], req)
 	}
 	return req
+}
+
+// take removes and returns the oldest request queued under key, or nil. A
+// drained queue keeps its backing array, so a key matched every iteration
+// stops allocating, and no slot keeps a matched request alive.
+func take(queues map[matchKey][]*Request, key matchKey) *Request {
+	q := queues[key]
+	if len(q) == 0 {
+		return nil
+	}
+	r := q[0]
+	q[0] = nil
+	if len(q) == 1 {
+		queues[key] = q[:0]
+	} else {
+		queues[key] = q[1:]
+	}
+	return r
 }
 
 // PauseProgress occupies the rank's serial MPI progress engine for d virtual
@@ -378,10 +391,7 @@ func (w *World) transfer(send, recv *Request) {
 		w.cudaAwareTransfer(send, recv)
 		return
 	}
-	w.hostTransfer(send, recv, 0, nil, func() {
-		send.done.Fire()
-		recv.done.Fire()
-	})
+	w.hostTransfer(send, recv, 0, nil, nil)
 }
 
 // startFlowRetry starts a wire transfer under the world's timeout/retry
@@ -465,100 +475,163 @@ func (w *World) transferThen(name string, path []*flownet.Link, bytes float64, n
 // seq is the envelope's sequence number; 0 takes the next per-pair number
 // when the envelope starts. onAccept, when non-nil, fires once the receiver
 // has committed an accepted copy; onDone fires when the message is complete
-// on both sides (under Reliable: the sender saw the ACK). Without the
-// envelope the two fire together.
+// on both sides (under Reliable: the sender saw the ACK), and when nil the
+// two requests' signals fire instead. Without the envelope onAccept and
+// onDone fire together.
 func (w *World) hostTransfer(send, recv *Request, seq uint64, onAccept, onDone func()) {
+	x := &hostXfer{w: w, send: send, recv: recv, seq: seq, onAccept: onAccept, onDone: onDone}
+	x.next = x.advance
+	w.M.Eng.Go(x.next)
+}
+
+// hostXfer is one host-transport message in flight. Every continuation of
+// its chain is the same bound advance, which runs the step its state names
+// and arms the next one, so a message allocates this record, its method
+// value and its flow.
+type hostXfer struct {
+	w          *World
+	send, recv *Request
+	seq        uint64
+	onAccept   func()
+	onDone     func()
+	path       []*flownet.Link
+	start      sim.Time
+	state      xferState
+	next       func() // x.advance
+}
+
+// xferState is the step a hostXfer's next continuation runs.
+type xferState int
+
+const (
+	xferLatency xferState = iota // queued: pay the message latency
+	xferQueue                    // queue on the receiver's progress engine
+	xferShm                      // engine held: start the shared-memory copy
+	xferShmDone                  // copy landed: release the engine, commit
+	xferCPU                      // engine held: per-message CPU work
+	xferWire                     // CPU work done: release the engine, send
+	xferLanded                   // wire transfer landed: commit
+)
+
+func (x *hostXfer) advance() {
+	w := x.w
 	p := w.M.Params
 	eng := w.M.Eng
-	srcRank, dstRank := send.rank, recv.rank
+	srcRank, dstRank := x.send.rank, x.recv.rank
 	intra := srcRank.Node == dstRank.Node
-	name := "mpi.nic"
-	if intra {
-		name = "mpi.shm"
-	}
-	var start sim.Time
-	land := func() {
-		commitCopy(recv.buf, recv.off, send.buf, send.off, send.bytes)
-		if onAccept != nil {
-			onAccept()
-		}
-	}
-	finish := func() {
-		if w.RT != nil && w.RT.OnOp != nil {
-			// Host-side staging copies are CPU work a profiler would
-			// attribute to MPI; surface them in the op timeline too.
-			w.RT.Record(cudart.OpRecord{
-				Kind: cudart.OpMemcpyH2H, Name: name, Device: -1,
-				Stream: "host", Start: start, End: eng.Now(), Bytes: send.bytes,
-			})
-		}
-		onDone()
-	}
-	progress := dstRank.progress
-	eng.Go(func() {
+	bytes := x.send.bytes
+	// State changes come before the call that arms the next step: resource
+	// acquisition and signal waits run it inline when they can.
+	switch x.state {
+	case xferLatency:
 		lat := p.MPIInterLatency
 		if intra {
 			lat = p.MPIIntraLatency
 		}
-		if float64(send.bytes) > p.EagerLimit {
+		if float64(bytes) > p.EagerLimit {
 			lat += p.RendezvousCost
 		}
-		eng.SleepThen(lat, func() {
-			path := w.M.HostToHostPath(srcRank.Node, srcRank.Socket, dstRank.Node, dstRank.Socket)
-			start = eng.Now()
-			if intra {
-				// Shared-memory copy: occupies the receiving rank's progress
-				// engine for the duration of the copy, at the rate of one
-				// core's copy loop.
-				progress.AcquireThen(func() {
-					f := w.M.Net.StartFlow(name, append(path, dstRank.copyEngine), float64(send.bytes))
-					f.Done().Then(func() {
-						progress.Release()
-						land()
-						finish()
-					})
-				})
-				return
-			}
-			// NIC DMA: the progress engine is held only for per-message CPU
-			// work; the wire transfer proceeds without it.
-			progress.AcquireThen(func() {
-				eng.SleepThen(p.MPIIntraLatency, func() {
-					progress.Release()
-					if !w.Reliable {
-						w.transferThen(name, path, float64(send.bytes), func() {
-							land()
-							finish()
-						})
-						return
-					}
-					// Under the reliable-delivery envelope the payload is
-					// committed (possibly more than once, possibly corrupted
-					// and then overwritten) at each delivery; the chain
-					// resumes when the sender sees the ACK. The landed-
-					// checksum self-check is possible because the commit is
-					// synchronous.
-					rev := w.M.HostToHostPath(dstRank.Node, dstRank.Socket, srcRank.Node, srcRank.Socket)
-					var check func() uint64
-					if data := recv.buf.Data(); data != nil {
-						check = func() uint64 { return payloadSum(data[recv.off : recv.off+recv.bytes]) }
-					}
-					s := seq
-					if s == 0 {
-						s = w.nextSeq(srcRank.ID, dstRank.ID)
-					}
-					acked := sim.NewSignal(eng, "mpi.reliable")
-					w.reliableSendSeq(name, path, rev, send, recv, s, func(corrupt bool, key uint64) {
-						commitCopy(recv.buf, recv.off, send.buf, send.off, send.bytes)
-						if corrupt {
-							corruptPayload(recv.buf, recv.off, send.bytes, key)
-						}
-					}, check, onAccept, acked.Fire)
-					acked.Then(finish)
-				})
-			})
+		x.state = xferQueue
+		eng.SleepThen(lat, x.next)
+	case xferQueue:
+		x.path = w.M.HostToHostPath(srcRank.Node, srcRank.Socket, dstRank.Node, dstRank.Socket)
+		x.start = eng.Now()
+		if intra {
+			x.state = xferShm
+		} else {
+			x.state = xferCPU
+		}
+		dstRank.progress.AcquireThen(x.next)
+	case xferShm:
+		// Shared-memory copy: occupies the receiving rank's progress engine
+		// for the duration of the copy, at the rate of one core's copy loop.
+		x.state = xferShmDone
+		f := w.M.Net.StartFlow(x.name(), append(x.path, dstRank.copyEngine), float64(bytes))
+		f.Done().Then(x.next)
+	case xferShmDone:
+		dstRank.progress.Release()
+		x.land()
+		x.finish()
+	case xferCPU:
+		// NIC DMA: the progress engine is held only for per-message CPU
+		// work; the wire transfer proceeds without it.
+		x.state = xferWire
+		eng.SleepThen(p.MPIIntraLatency, x.next)
+	case xferWire:
+		dstRank.progress.Release()
+		if !w.Reliable {
+			x.state = xferLanded
+			w.transferThen(x.name(), x.path, float64(bytes), x.next)
+			return
+		}
+		x.sendReliable()
+	case xferLanded:
+		x.land()
+		x.finish()
+	}
+}
+
+func (x *hostXfer) name() string {
+	if x.send.rank.Node == x.recv.rank.Node {
+		return "mpi.shm"
+	}
+	return "mpi.nic"
+}
+
+// land commits the payload at the receiver.
+func (x *hostXfer) land() {
+	send, recv := x.send, x.recv
+	commitCopy(recv.buf, recv.off, send.buf, send.off, send.bytes)
+	if x.onAccept != nil {
+		x.onAccept()
+	}
+}
+
+// finish reports the message complete on both sides.
+func (x *hostXfer) finish() {
+	w := x.w
+	if w.RT != nil && w.RT.OnOp != nil {
+		// Host-side staging copies are CPU work a profiler would attribute
+		// to MPI; surface them in the op timeline too.
+		w.RT.Record(cudart.OpRecord{
+			Kind: cudart.OpMemcpyH2H, Name: x.name(), Device: -1,
+			Stream: "host", Start: x.start, End: w.M.Eng.Now(), Bytes: x.send.bytes,
 		})
-	})
+	}
+	if x.onDone != nil {
+		x.onDone()
+		return
+	}
+	x.send.done.Fire()
+	x.recv.done.Fire()
+}
+
+// sendReliable drives the wire transfer under the reliable-delivery
+// envelope. The payload is committed (possibly more than once, possibly
+// corrupted and then overwritten) at each delivery; the chain finishes when
+// the sender sees the ACK. The landed-checksum self-check is possible
+// because the commit is synchronous.
+func (x *hostXfer) sendReliable() {
+	w := x.w
+	send, recv := x.send, x.recv
+	srcRank, dstRank := send.rank, recv.rank
+	rev := w.M.HostToHostPath(dstRank.Node, dstRank.Socket, srcRank.Node, srcRank.Socket)
+	var check func() uint64
+	if data := recv.buf.Data(); data != nil {
+		check = func() uint64 { return payloadSum(data[recv.off : recv.off+recv.bytes]) }
+	}
+	s := x.seq
+	if s == 0 {
+		s = w.nextSeq(srcRank.ID, dstRank.ID)
+	}
+	acked := sim.NewSignal(w.M.Eng, "mpi.reliable")
+	w.reliableSendSeq(x.name(), x.path, rev, send, recv, s, func(corrupt bool, key uint64) {
+		commitCopy(recv.buf, recv.off, send.buf, send.off, send.bytes)
+		if corrupt {
+			corruptPayload(recv.buf, recv.off, send.bytes, key)
+		}
+	}, check, x.onAccept, acked.Fire)
+	acked.Then(x.finish)
 }
 
 // cudaAwareTransfer implements the device-buffer transport with the paper's

@@ -74,7 +74,7 @@ func (c *Channel) Start(sendBuf *cudart.Buffer, sendOff int64, recvBuf *cudart.B
 	c.src.checkDeactivated(c.dst.ID)
 	c.counter++
 	seq := (uint64(c.tag+1) << 32) | c.counter
-	send := &Request{rank: c.src, buf: sendBuf, off: sendOff, bytes: bytes, tag: c.tag, isSend: true}
+	send := &Request{rank: c.src, buf: sendBuf, off: sendOff, bytes: bytes, tag: c.tag}
 	recv := &Request{rank: c.dst, buf: recvBuf, off: recvOff, bytes: bytes, tag: c.tag}
 	c.w.hostTransfer(send, recv, seq, onAccept, onDone)
 }

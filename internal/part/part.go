@@ -16,6 +16,8 @@ package part
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 )
 
 // Dim3 is a 3D extent or index.
@@ -58,26 +60,143 @@ func (d *Dim3) set(axis, v int) {
 }
 
 // PrimeFactors returns the prime factorization of n sorted largest to
-// smallest. PrimeFactors(1) is empty.
+// smallest. PrimeFactors(1) is empty. Small factors come off by trial
+// division; what remains is split by Pollard's rho (Brent's variant) and
+// certified by a Miller–Rabin test that is exact for 64-bit inputs, so a
+// large prime costs microseconds instead of a trial division up to its
+// square root.
 func PrimeFactors(n int) []int {
 	if n < 1 {
 		panic(fmt.Sprintf("part: PrimeFactors(%d)", n))
 	}
 	var fs []int
-	for f := 2; f <= n/f; f++ { // f*f would overflow for n near MaxInt
+	for f := 2; f < trialLimit && f <= n/f; f++ {
 		for n%f == 0 {
 			fs = append(fs, f)
 			n /= f
 		}
 	}
 	if n > 1 {
-		fs = append(fs, n)
+		fs = appendFactors(fs, uint64(n))
 	}
-	// Ascending by construction; reverse for largest-first.
-	for i, j := 0, len(fs)-1; i < j; i, j = i+1, j-1 {
-		fs[i], fs[j] = fs[j], fs[i]
-	}
+	slices.Sort(fs)
+	slices.Reverse(fs)
 	return fs
+}
+
+// trialLimit bounds PrimeFactors' trial division: every factor below it is
+// divided out first, which covers every node and GPU count in practice.
+const trialLimit = 1 << 10
+
+// millerRabinBases make the Miller–Rabin test exact for every n < 2^64.
+var millerRabinBases = [...]uint64{2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37}
+
+// appendFactors appends the prime factors of n > 1, which has no factor
+// below trialLimit, in no particular order.
+func appendFactors(fs []int, n uint64) []int {
+	if isPrime(n) {
+		return append(fs, int(n))
+	}
+	d := pollardBrent(n)
+	return appendFactors(appendFactors(fs, d), n/d)
+}
+
+// isPrime is the deterministic Miller–Rabin test for n < 2^64.
+func isPrime(n uint64) bool {
+	if n < 2 {
+		return false
+	}
+	for _, p := range millerRabinBases {
+		if n%p == 0 {
+			return n == p
+		}
+	}
+	d, s := n-1, 0
+	for d%2 == 0 {
+		d /= 2
+		s++
+	}
+	for _, a := range millerRabinBases {
+		x := powMod(a, d, n)
+		if x == 1 || x == n-1 {
+			continue
+		}
+		composite := true
+		for i := 1; i < s && composite; i++ {
+			x = mulMod(x, x, n)
+			composite = x != n-1
+		}
+		if composite {
+			return false
+		}
+	}
+	return true
+}
+
+// pollardBrent returns a nontrivial factor of the odd composite n with
+// Brent's cycle detection over x ↦ x² + c, batching the gcd over 128 steps.
+// The walk is deterministic: c counts up from 1 until a walk splits n.
+func pollardBrent(n uint64) uint64 {
+	const batch = 128
+	for c := uint64(1); ; c++ {
+		step := func(x uint64) uint64 { return (mulMod(x, x, n) + c) % n }
+		var x, ys uint64
+		y, q, g := uint64(2), uint64(1), uint64(1)
+		for r := uint64(1); g == 1; r *= 2 {
+			x = y
+			for i := uint64(0); i < r; i++ {
+				y = step(y)
+			}
+			for k := uint64(0); k < r && g == 1; k += batch {
+				ys = y
+				for i := uint64(0); i < min(batch, r-k); i++ {
+					y = step(y)
+					q = mulMod(q, absDiff(x, y), n)
+				}
+				g = gcd(q, n)
+			}
+		}
+		if g == n {
+			// The batch overshot: replay it one step at a time.
+			for g = 1; g == 1; {
+				ys = step(ys)
+				g = gcd(absDiff(x, ys), n)
+			}
+		}
+		if g != n {
+			return g
+		}
+	}
+}
+
+func mulMod(a, b, m uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	return bits.Rem64(hi, lo, m)
+}
+
+func powMod(a, e, m uint64) uint64 {
+	r := uint64(1)
+	for a %= m; e > 0; e >>= 1 {
+		if e&1 == 1 {
+			r = mulMod(r, a, m)
+		}
+		a = mulMod(a, a, m)
+	}
+	return r
+}
+
+func gcd(a, b uint64) uint64 {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}
+
+func absDiff(a, b uint64) uint64 {
+	if a > b {
+		return a - b
+	}
+	return b - a
 }
 
 // Grid computes the partition grid for dividing domain into n subdomains by

@@ -3,6 +3,7 @@ package part
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -33,6 +34,65 @@ func TestPrimeFactors(t *testing.T) {
 				t.Errorf("PrimeFactors(%d) = %v, want %v", c.n, got, c.want)
 				break
 			}
+		}
+	}
+}
+
+// trialFactors is the plain trial division PrimeFactors once was, largest
+// factor first: the reference for the rho/Miller–Rabin path.
+func trialFactors(n int) []int {
+	var fs []int
+	for f := 2; f <= n/f; f++ {
+		for n%f == 0 {
+			fs = append(fs, f)
+			n /= f
+		}
+	}
+	if n > 1 {
+		fs = append(fs, n)
+	}
+	for i, j := 0, len(fs)-1; i < j; i, j = i+1, j-1 {
+		fs[i], fs[j] = fs[j], fs[i]
+	}
+	return fs
+}
+
+func TestPrimeFactorsMatchesTrialDivision(t *testing.T) {
+	for n := 1; n <= 100000; n++ {
+		if got, want := PrimeFactors(n), trialFactors(n); !slices.Equal(got, want) {
+			t.Fatalf("PrimeFactors(%d) = %v, trial division %v", n, got, want)
+		}
+	}
+}
+
+// Large primes and products of large primes must factor exactly, and fast:
+// trial division takes about 8 ms on the 2^40-sized prime and would take
+// seconds near 2^63.
+func TestPrimeFactorsLarge(t *testing.T) {
+	// The largest primes below 2^31, found by trial division.
+	var big []int
+	for n := 1<<31 - 1; len(big) < 3; n-- {
+		if len(trialFactors(n)) == 1 {
+			big = append(big, n)
+		}
+	}
+	cases := []struct {
+		n    int
+		want []int
+	}{
+		{1<<63 - 25, []int{1<<63 - 25}}, // the largest prime below 2^63
+		{1099511627689, []int{1099511627689}},
+		{1<<61 - 1, []int{1<<61 - 1}}, // a Mersenne prime
+		{math.MaxInt, []int{649657, 92737, 337, 127, 73, 7, 7}},
+		{big[0] * big[1], []int{big[0], big[1]}},
+		{big[1] * big[2], []int{big[1], big[2]}},
+		{big[0] * big[0], []int{big[0], big[0]}},
+		{2 * 3 * big[2] * 1021, []int{big[2], 1021, 3, 2}},
+		{1031 * 1031 * 1033, []int{1033, 1031, 1031}},
+	}
+	for _, c := range cases {
+		if got := PrimeFactors(c.n); !slices.Equal(got, c.want) {
+			t.Errorf("PrimeFactors(%d) = %v, want %v", c.n, got, c.want)
 		}
 	}
 }

@@ -234,6 +234,8 @@ func TestSubmitErrors(t *testing.T) {
 			"scenario": {"events": [{"at": -1, "kind": "link-fail", "target": {"kind": "nvlink", "a": 0, "b": 1}}]}}`, "negative"},
 		{"verify with 2-byte cells", `{"nodes": 1, "ranks_per_node": 2, "domain": "12", "radius": 1, "quantities": 1,
 			"verify": true, "elem_size": 2}`, "ElemSize"},
+		{"verify field over the real-data cap", `{"nodes": 1, "ranks_per_node": 2, "domain": "2048", "radius": 1, "quantities": 4,
+			"verify": true}`, "real data"},
 		{"fatal without checkpoint", `{"nodes": 1, "ranks_per_node": 2, "domain": "12", "radius": 1, "quantities": 1,
 			"scenario": {"events": [{"at": 1, "kind": "gpu-fail", "target": {"kind": "gpu", "a": 0}}]}}`, "CheckpointEvery"},
 		{"adapt_placement without adaptive", `{"nodes": 1, "ranks_per_node": 2, "domain": "12", "radius": 1, "quantities": 1,

@@ -42,17 +42,46 @@ import (
 // Time is a point on the virtual clock, in seconds.
 type Time = float64
 
+// Handler is a piece of simulated work the engine runs: an event's
+// callback, a signal's callback or a queued continuation. Closures reach it
+// through funcHandler; an owner that embeds its signals and events
+// implements Handle itself, so registering it allocates nothing.
+type Handler interface{ Handle() }
+
+// funcHandler adapts a closure to Handler. A func value is pointer-shaped,
+// so the conversion does not allocate.
+type funcHandler func()
+
+func (f funcHandler) Handle() { f() }
+
 // Event is a scheduled callback. It is returned by At/After so callers can
-// cancel it before it fires; firing a cancelled event is a no-op.
+// cancel it before it fires; firing a cancelled event is a no-op. An owner
+// can also embed an Event, bind it with Init and schedule it with
+// Reschedule (see Init).
 type Event struct {
 	when      Time
 	seq       uint64
-	fn        func()
+	h         Handler
 	cancelled bool
-	queue     bool // SleepThen: fn is a continuation to queue, not call
-	index     int  // position in the heap, -1 once popped
+	queue     bool // SleepThen: h is a continuation to queue, not call
+	pooled    bool // engine-owned (SleepThen, AfterHandler): reused once it fired
+	index     int  // position in the heap, -1 when not queued
 	eng       *Engine
 }
+
+// Init binds an owner-embedded event to the engine and to the handler it
+// runs when it fires. The event starts unscheduled; Engine.Reschedule
+// schedules it with exactly the sequence-number and Counts bookkeeping of
+// At, so an owned event and an At event are interchangeable in every
+// simulated result. Init must not be called on an event that is queued or
+// that anyone may still Cancel or Reschedule.
+func (ev *Event) Init(e *Engine, h Handler) {
+	*ev = Event{h: h, index: -1, eng: e}
+}
+
+// Scheduled reports whether the event is queued: scheduled and neither
+// fired nor cancelled since.
+func (ev *Event) Scheduled() bool { return ev.index >= 0 }
 
 // Cancel prevents the event from firing. Cancelling an already-fired or
 // already-cancelled event is harmless. The event is removed from the queue
@@ -195,7 +224,7 @@ type Engine struct {
 	running  bool
 	nprocs   int      // live (spawned, not yet exited) processes
 	waiting  int      // continuations parked in a signal's waiters or a resource queue
-	freeEv   []*Event // fired SleepThen events, reused by later SleepThens
+	freeEv   []*Event // fired engine-owned events, reused by SleepThen and AfterHandler
 	trace    func(t Time, msg string)
 
 	// Flushers run after all work at the current instant has drained, just
@@ -276,7 +305,7 @@ func (e *Engine) At(t Time, fn func()) *Event {
 		panic(fmt.Sprintf("sim: event scheduled in the past: %g < %g", t, e.now))
 	}
 	e.seq++
-	ev := &Event{when: t, seq: e.seq, fn: fn, eng: e}
+	ev := &Event{when: t, seq: e.seq, h: funcHandler(fn), eng: e}
 	e.queue.push(ev)
 	e.counts.Scheduled++
 	if n := len(e.queue); n > e.counts.PeakQueue {
@@ -294,11 +323,12 @@ func (e *Engine) After(d Time, fn func()) *Event {
 }
 
 // Reschedule moves an existing event to fire d seconds from now, reusing the
-// event object and its callback closure. It is the allocation-free equivalent
-// of Cancel + After(d, same fn): heavy reschedulers (the flow network moves
+// event object and its handler. It is the allocation-free equivalent of
+// Cancel + After(d, same fn): heavy reschedulers (the flow network moves
 // every completion event whenever rates shift) would otherwise churn an Event
-// and a closure per adjustment. A cancelled event is revived. Negative d
-// panics, mirroring After.
+// and a closure per adjustment. A cancelled event is revived, and an
+// unscheduled owned event (see Event.Init) is scheduled exactly as After
+// would schedule a new one. Negative d panics, mirroring After.
 func (e *Engine) Reschedule(ev *Event, d Time) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %g", d))
@@ -343,7 +373,7 @@ func (e *Engine) Run() Time {
 				t.p.resume <- struct{}{}
 				<-e.parked // p has parked again or exited
 			} else {
-				t.fn()
+				t.h.Handle()
 			}
 		}
 		e.runnable = e.runnable[:0]
@@ -368,12 +398,14 @@ func (e *Engine) Run() Time {
 		e.now = ev.when
 		e.counts.Executed++
 		if ev.queue {
-			e.runnable = append(e.runnable, task{fn: ev.fn})
-			ev.fn = nil
-			e.freeEv = append(e.freeEv, ev)
-			continue
+			e.runnable = append(e.runnable, task{h: ev.h})
+		} else {
+			ev.h.Handle()
 		}
-		ev.fn()
+		if ev.pooled {
+			ev.h = nil
+			e.freeEv = append(e.freeEv, ev)
+		}
 	}
 	if e.nprocs > 0 || e.waiting > 0 {
 		panic(fmt.Sprintf("sim: deadlock: %d process(es) and %d continuation(s) still parked with no pending events",
@@ -383,10 +415,10 @@ func (e *Engine) Run() Time {
 }
 
 // task is one ready-queue entry: a parked process to resume, or a
-// continuation to call.
+// continuation to run.
 type task struct {
-	p  *Proc
-	fn func()
+	p *Proc
+	h Handler
 }
 
 // makeRunnable appends p to the runnable queue. Idempotence is the caller's
@@ -398,20 +430,29 @@ func (e *Engine) makeRunnable(p *Proc) {
 	e.runnable = append(e.runnable, task{p: p})
 }
 
-// wake queues a task that was parked in a waiter list or resource queue.
-func (e *Engine) wake(t task) {
-	if t.p != nil {
-		e.makeRunnable(t.p)
+// procWaiter is a process parked in a signal's waiter list or a resource
+// queue. Both hold Handlers, so an entry is the same two words whether it
+// is a process or a continuation.
+type procWaiter Proc
+
+// Handle makes the parked process runnable.
+func (w *procWaiter) Handle() { w.eng.makeRunnable((*Proc)(w)) }
+
+// wake wakes one entry of a waiter list or resource queue: a process
+// becomes runnable, a continuation is queued.
+func (e *Engine) wake(w Handler) {
+	if p, ok := w.(*procWaiter); ok {
+		p.Handle()
 		return
 	}
 	e.waiting--
-	e.runnable = append(e.runnable, t)
+	e.runnable = append(e.runnable, task{h: w})
 }
 
 // Go queues fn to run as a continuation, in the ready-queue slot where Spawn
 // would queue a new process. Like Spawn, it never runs fn inline.
 func (e *Engine) Go(fn func()) {
-	e.runnable = append(e.runnable, task{fn: fn})
+	e.runnable = append(e.runnable, task{h: funcHandler(fn)})
 }
 
 // SleepThen queues fn to run d seconds from now: the continuation form of
@@ -422,15 +463,32 @@ func (e *Engine) SleepThen(d Time, fn func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative sleep %g", d))
 	}
+	e.Reschedule(e.pooledEvent(funcHandler(fn), true), d)
+}
+
+// AfterHandler is After for a Handler, on an engine-owned event: nothing
+// outside the engine can hold it (it cannot be cancelled), so the engine
+// reuses it once it fired. It takes the sequence number and Counts After
+// would.
+func (e *Engine) AfterHandler(d Time, h Handler) {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative delay %g", d))
+	}
+	e.Reschedule(e.pooledEvent(h, false), d)
+}
+
+// pooledEvent returns an unscheduled engine-owned event, reusing a fired
+// one when it can.
+func (e *Engine) pooledEvent(h Handler, queue bool) *Event {
 	var ev *Event
 	if n := len(e.freeEv); n > 0 {
 		ev = e.freeEv[n-1]
 		e.freeEv = e.freeEv[:n-1]
 	} else {
-		ev = &Event{eng: e, index: -1, queue: true}
+		ev = &Event{eng: e, index: -1, pooled: true}
 	}
-	ev.fn = fn
-	e.Reschedule(ev, d)
+	ev.h, ev.queue = h, queue
+	return ev
 }
 
 // Proc is a simulated process: a goroutine whose apparent blocking operations
@@ -487,7 +545,7 @@ func (p *Proc) Sleep(d Time) {
 	}
 	e := p.eng
 	if p.sleepEv == nil {
-		p.sleepEv = &Event{eng: e, index: -1, fn: func() { e.makeRunnable(p) }}
+		p.sleepEv = &Event{eng: e, index: -1, h: (*procWaiter)(p)}
 	}
 	e.Reschedule(p.sleepEv, d)
 	p.park()

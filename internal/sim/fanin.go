@@ -13,13 +13,14 @@ import "fmt"
 // expecting zero contributions is born fired. Like all sim primitives it is
 // engine-threaded: Done must be called in event or process context.
 type Fanin struct {
-	sig       *Signal
+	sig       Signal
 	remaining int
 }
 
 // NewFanin creates a fan-in expecting n contributions.
 func NewFanin(e *Engine, name string, n int) *Fanin {
-	f := &Fanin{sig: NewSignal(e, name), remaining: n}
+	f := &Fanin{remaining: n}
+	f.sig.Init(e, name)
 	if n <= 0 {
 		f.sig.Fire()
 	}
@@ -38,7 +39,7 @@ func (f *Fanin) Done() {
 }
 
 // Sig exposes the completion signal.
-func (f *Fanin) Sig() *Signal { return f.sig }
+func (f *Fanin) Sig() *Signal { return &f.sig }
 
 // Wait parks the process until every contribution has arrived.
 func (f *Fanin) Wait(p *Proc) { f.sig.Wait(p) }

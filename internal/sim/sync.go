@@ -6,19 +6,42 @@ import "fmt"
 // wait on and event callbacks can fire. Once fired it stays fired: later
 // Waits return immediately. This matches the semantics of a CUDA event or an
 // MPI request completion.
+//
+// A Signal can live inside its owner (see Init). Its first waiter and first
+// callback are stored inline, so a signal with at most one of each
+// allocates nothing for its lists; further ones spill to a side list.
 type Signal struct {
 	eng     *Engine
 	name    string
-	fired   bool
 	firedAt Time
-	waiters []task // processes (Wait) and continuations (Then), in arrival order
-	cbs     []func()
+	w0      Handler     // first waiter: a process (Wait) or continuation (Then)
+	cb0     Handler     // first callback (OnFire, Notify)
+	more    *signalMore // later waiters and callbacks, in arrival order
+	fired   bool
+}
+
+// signalMore holds a signal's waiters and callbacks beyond the inline first
+// ones.
+type signalMore struct {
+	waiters []Handler
+	cbs     []Handler
 }
 
 // NewSignal returns an unfired signal.
 func NewSignal(e *Engine, name string) *Signal {
 	return &Signal{eng: e, name: name}
 }
+
+// Init makes s an unfired signal of the engine, for owners that embed their
+// signals instead of calling NewSignal. It must not be called on a signal
+// that anyone may still wait on, register with, or test: a recycled signal
+// would look unfired to a holder that saw it fire.
+func (s *Signal) Init(e *Engine, name string) {
+	*s = Signal{eng: e, name: name}
+}
+
+// Name returns the signal's debug name.
+func (s *Signal) Name() string { return s.name }
 
 // Fired reports whether the signal has fired.
 func (s *Signal) Fired() bool { return s.fired }
@@ -33,23 +56,59 @@ func (s *Signal) FiredAt() Time {
 }
 
 // Fire marks the signal complete, queues all waiting processes and
-// continuations in arrival order, and then runs any registered callbacks.
-// Firing twice panics: in this codebase a double fire always indicates a
-// scheduling bug.
+// continuations in arrival order, and then runs the registered callbacks in
+// registration order. Anything registered from inside a callback sees the
+// signal fired and runs inline. Firing twice panics: in this codebase a
+// double fire always indicates a scheduling bug.
 func (s *Signal) Fire() {
 	if s.fired {
 		panic("sim: signal fired twice: " + s.name)
 	}
 	s.fired = true
 	s.firedAt = s.eng.now
-	for _, t := range s.waiters {
-		s.eng.wake(t)
+	// Drop the lists before running anything, so a fired signal retains
+	// none of its waiters or callbacks.
+	w0, cb0, more := s.w0, s.cb0, s.more
+	s.w0, s.cb0, s.more = nil, nil, nil
+	if w0 != nil {
+		s.eng.wake(w0)
 	}
-	s.waiters = nil
-	cbs := s.cbs
-	s.cbs = nil
-	for _, cb := range cbs {
-		cb()
+	if more != nil {
+		for _, w := range more.waiters {
+			s.eng.wake(w)
+		}
+	}
+	if cb0 != nil {
+		cb0.Handle()
+	}
+	if more != nil {
+		for _, h := range more.cbs {
+			h.Handle()
+		}
+	}
+}
+
+// addWaiter appends w, a *procWaiter or a continuation, to the waiter list.
+func (s *Signal) addWaiter(w Handler) {
+	switch {
+	case s.w0 == nil:
+		s.w0 = w
+	case s.more == nil:
+		s.more = &signalMore{waiters: []Handler{w}}
+	default:
+		s.more.waiters = append(s.more.waiters, w)
+	}
+}
+
+// addCallback appends h to the callback list.
+func (s *Signal) addCallback(h Handler) {
+	switch {
+	case s.cb0 == nil:
+		s.cb0 = h
+	case s.more == nil:
+		s.more = &signalMore{cbs: []Handler{h}}
+	default:
+		s.more.cbs = append(s.more.cbs, h)
 	}
 }
 
@@ -59,7 +118,7 @@ func (s *Signal) Wait(p *Proc) {
 	if s.fired {
 		return
 	}
-	s.waiters = append(s.waiters, task{p: p})
+	s.addWaiter((*procWaiter)(p))
 	p.park()
 }
 
@@ -72,18 +131,32 @@ func (s *Signal) Then(fn func()) {
 		return
 	}
 	s.eng.waiting++
-	s.waiters = append(s.waiters, task{fn: fn})
+	s.addWaiter(funcHandler(fn))
 }
 
 // OnFire registers a callback to run when the signal fires (immediately if it
 // already has). Callbacks run in registration order inside the engine.
-func (s *Signal) OnFire(fn func()) {
+func (s *Signal) OnFire(fn func()) { s.Notify(funcHandler(fn)) }
+
+// Notify is OnFire for a Handler: h.Handle runs when the signal fires
+// (immediately if it already has), in the same registration order as OnFire
+// callbacks. An owner registering itself allocates no closure.
+func (s *Signal) Notify(h Handler) {
 	if s.fired {
-		fn()
+		h.Handle()
 		return
 	}
-	s.cbs = append(s.cbs, fn)
+	s.addCallback(h)
 }
+
+// Forward makes to fire when s fires, as s.OnFire(to.Fire) would, without
+// the method-value closure.
+func (s *Signal) Forward(to *Signal) { s.Notify((*forward)(to)) }
+
+// forward is a Signal seen as the Handler that fires it.
+type forward Signal
+
+func (f *forward) Handle() { (*Signal)(f).Fire() }
 
 // WaitAll parks the process until every signal in sigs has fired.
 func WaitAll(p *Proc, sigs ...*Signal) {
@@ -114,7 +187,7 @@ func WaitAny(p *Proc, sigs ...*Signal) int {
 		w := &anyWaiter{p: p}
 		for _, s := range sigs {
 			if !s.fired {
-				s.cbs = append(s.cbs, w.wake(s.eng))
+				s.addCallback(w)
 			}
 		}
 		p.park()
@@ -126,14 +199,13 @@ type anyWaiter struct {
 	woken bool
 }
 
-func (w *anyWaiter) wake(e *Engine) func() {
-	return func() {
-		if w.woken {
-			return
-		}
-		w.woken = true
-		e.makeRunnable(w.p)
+// Handle wakes the process on the first fire only.
+func (w *anyWaiter) Handle() {
+	if w.woken {
+		return
 	}
+	w.woken = true
+	w.p.eng.makeRunnable(w.p)
 }
 
 // Gate is a reusable rendezvous between one owning process and event-context
@@ -181,7 +253,7 @@ type Resource struct {
 	name     string
 	capacity int
 	inUse    int
-	queue    []task // processes (Acquire) and continuations (AcquireThen)
+	queue    []Handler // processes (Acquire) and continuations (AcquireThen)
 }
 
 // NewResource returns a resource with the given concurrency capacity.
@@ -199,7 +271,7 @@ func (r *Resource) Acquire(p *Proc) {
 		r.inUse++
 		return
 	}
-	r.queue = append(r.queue, task{p: p})
+	r.queue = append(r.queue, (*procWaiter)(p))
 	p.park()
 	// Woken by Release, which transferred the unit to us already.
 }
@@ -215,7 +287,7 @@ func (r *Resource) AcquireThen(fn func()) {
 		return
 	}
 	r.eng.waiting++
-	r.queue = append(r.queue, task{fn: fn})
+	r.queue = append(r.queue, funcHandler(fn))
 }
 
 // Release returns a unit. If processes or continuations are queued,
@@ -225,10 +297,15 @@ func (r *Resource) Release() {
 		panic("sim: release of idle resource " + r.name)
 	}
 	if len(r.queue) > 0 {
-		t := r.queue[0]
-		r.queue[0] = task{}
-		r.queue = r.queue[1:]
-		r.eng.wake(t)
+		q := r.queue
+		w := q[0]
+		q[0] = nil
+		if len(q) == 1 {
+			r.queue = q[:0] // keep the backing array: queues drain and refill every message
+		} else {
+			r.queue = q[1:]
+		}
+		r.eng.wake(w)
 		return // unit transferred, inUse unchanged
 	}
 	r.inUse--
