@@ -2,6 +2,8 @@
 // accepts jobspec JSON over HTTP, runs each job on an isolated deterministic
 // engine in a sharded worker pool, streams per-job NDJSON telemetry, and
 // exploits determinism with two cache layers (whole-result and setup).
+// Tenants (X-Tenant) are served round-robin, a full queue answers 429 with a
+// Retry-After hint, and a job whose run panics fails on that first panic.
 //
 //	stencilserve -addr :8080          # serve until SIGTERM (graceful drain)
 //	stencilserve -data-dir /var/lib/stencilserve -addr :8080
@@ -43,7 +45,7 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("stencilserve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	queueDepth := fs.Int("queue-depth", 1024, "bounded job queue depth (backpressure beyond it)")
+	queueDepth := fs.Int("queue-depth", serve.DefaultQueueDepth, "bounded job queue depth (backpressure beyond it)")
 	resultCache := fs.Int("result-cache", 4096, "whole-result cache entries")
 	setupCache := fs.Int("setup-cache", 4096, "setup (placement) cache entries")
 	loadtest := fs.Int("loadtest", 0, "run a self-contained load test with N jobs and exit")
@@ -54,13 +56,6 @@ func run(args []string, out io.Writer) error {
 	journalDump := fs.String("journal-dump", "", "pretty-print the journal in this data directory (or file) and exit")
 	crashsmoke := fs.Bool("crashsmoke", false, "run the kill/recover crash smoke and journal-overhead measurement, then exit")
 	ref := fs.String("ref", "", "crashsmoke: gate against this reference report (byte-exact deterministic section, overhead <= 1.5x)")
-	quotaRate := fs.Float64("quota-rate", 0, "per-tenant submit rate budget, jobs/s (0 = unlimited)")
-	quotaBurst := fs.Int("quota-burst", 0, "per-tenant submit burst (0 = max(1, rate))")
-	quotaInFlight := fs.Int("quota-inflight", 0, "per-tenant queued+running job budget (0 = unlimited)")
-	quotaBytes := fs.Int64("quota-bytes", 0, "per-tenant stored-result bytes budget (0 = unlimited)")
-	degradeDepth := fs.Int("degrade-depth", 0, "queue depth that enters degraded mode (0 = disabled)")
-	shedDepth := fs.Int("shed-depth", 0, "queue depth that sheds all new submissions (0 = queue-depth)")
-	shedAge := fs.Duration("shed-age", 0, "oldest-queued-job age that sheds all new submissions (0 = disabled)")
 	journalCompact := fs.String("journal-compact", "", "compact the journal in this data directory in place and exit")
 	compactBytes := fs.Int64("compact-bytes", 0, "journal size that triggers automatic compaction (0 = disabled)")
 	if err := fs.Parse(args); err != nil {
@@ -83,16 +78,7 @@ func run(args []string, out io.Writer) error {
 		ResultCacheEntries: *resultCache,
 		SetupCacheEntries:  *setupCache,
 		DataDir:            *dataDir,
-		TenantQuota: serve.Quota{
-			SubmitRate:     *quotaRate,
-			SubmitBurst:    *quotaBurst,
-			MaxInFlight:    *quotaInFlight,
-			MaxStoredBytes: *quotaBytes,
-		},
-		DegradeDepth: *degradeDepth,
-		ShedDepth:    *shedDepth,
-		ShedAge:      *shedAge,
-		CompactBytes: *compactBytes,
+		CompactBytes:       *compactBytes,
 	}
 	switch {
 	case *journalDump != "":
@@ -460,51 +446,35 @@ func runLoadTest(cfg serve.Config, n, concurrency int, report, log io.Writer) er
 
 // ---- HTTP client helpers ----
 
-// submitAndWait submits a job and blocks for its terminal state. A 429
-// (quota or shedding) is retried after the server's Retry-After hint — the
-// well-behaved-client half of the backpressure contract — so a load test
-// with quotas enabled converges to the budget instead of failing.
+// submitAndWait submits a job and blocks for its terminal state. Any
+// answer but 202 is an error: the load test sizes the queue to hold every
+// job, and the smoke run submits one job at a time, so neither expects a 429.
 func submitAndWait(base, tenant string, spec *jobspec.Spec) (serve.Status, error) {
 	body, err := json.Marshal(spec)
 	if err != nil {
 		return serve.Status{}, err
 	}
-	for attempt := 0; ; attempt++ {
-		req, err := http.NewRequest("POST", base+"/v1/jobs?wait=1", bytes.NewReader(body))
-		if err != nil {
-			return serve.Status{}, err
-		}
-		req.Header.Set("X-Tenant", tenant)
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			return serve.Status{}, err
-		}
-		b, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return serve.Status{}, err
-		}
-		if resp.StatusCode == http.StatusTooManyRequests && attempt < 120 {
-			wait := time.Second
-			if ra, err := time.ParseDuration(resp.Header.Get("Retry-After") + "s"); err == nil && ra > 0 {
-				wait = ra
-			}
-			if wait > 2*time.Second {
-				wait = 2 * time.Second
-			}
-			time.Sleep(wait)
-			continue
-		}
-		if resp.StatusCode != http.StatusAccepted {
-			return serve.Status{}, fmt.Errorf("submit: %d %s", resp.StatusCode, b)
-		}
-		var st serve.Status
-		if err := json.Unmarshal(b, &st); err != nil {
-			return serve.Status{}, err
-		}
-		return st, nil
+	req, err := http.NewRequest("POST", base+"/v1/jobs?wait=1", bytes.NewReader(body))
+	if err != nil {
+		return serve.Status{}, err
 	}
+	req.Header.Set("X-Tenant", tenant)
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return serve.Status{}, err
+	}
+	b, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return serve.Status{}, err
+	}
+	if resp.StatusCode != http.StatusAccepted {
+		return serve.Status{}, fmt.Errorf("submit: %d %s", resp.StatusCode, b)
+	}
+	var st serve.Status
+	err = json.Unmarshal(b, &st)
+	return st, err
 }
 
 func fetch(url string) ([]byte, error) {

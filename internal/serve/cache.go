@@ -117,17 +117,6 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 	return v, ok
 }
 
-// Contains reports presence without touching recency or the hit/miss
-// statistics — the admission controller's peek (a shed decision must not
-// distort the cache counters or promote an entry nobody read).
-func (c *Cache[V]) Contains(key string) bool {
-	s := c.shard(key)
-	s.mu.Lock()
-	_, ok := s.m[key]
-	s.mu.Unlock()
-	return ok
-}
-
 // Put stores a value weighted by its recompute cost (virtual or wall seconds
 // — higher means more expensive to lose). If the shard is full, the cheapest
 // of its evictScan coldest entries is evicted.

@@ -461,15 +461,11 @@ func copyTree(t *testing.T, src, dst string) {
 }
 
 // TestCompactionPreservesRecovery pins the compaction contract: recovering
-// from a compacted data directory yields exactly the jobs, states, result
-// bytes, and quota accounting that the uncompacted directory yields.
+// from a compacted data directory yields exactly the jobs, states, and
+// result bytes that the uncompacted directory yields.
 func TestCompactionPreservesRecovery(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{
-		Workers: 1, DataDir: dir,
-		TenantQuota: Quota{SubmitRate: 0.001, SubmitBurst: 50, MaxStoredBytes: 1 << 30},
-	}
-	s, err := Open(cfg)
+	s, err := Open(Config{Workers: 1, DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,14 +509,9 @@ func TestCompactionPreservesRecovery(t *testing.T) {
 	type snap struct {
 		states  map[string]State
 		results map[string][]byte
-		stored  int64
-		tokens  float64
 	}
 	boot := func(d string) snap {
-		c := cfg
-		c.DataDir = d
-		c.Workers = 4
-		s, err := Open(c)
+		s, err := Open(Config{Workers: 4, DataDir: d})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -535,8 +526,6 @@ func TestCompactionPreservesRecovery(t *testing.T) {
 				out.results[j.ID] = res
 			}
 		}
-		out.stored = s.quotas.storedBytesTotal()
-		out.tokens, _, _ = s.quotas.snapshot("alice", s.now())
 		return out
 	}
 	plain, compacted := boot(dir), boot(cdir)
@@ -551,12 +540,6 @@ func TestCompactionPreservesRecovery(t *testing.T) {
 		if !bytes.Equal(plain.results[id], compacted.results[id]) {
 			t.Errorf("job %s: result bytes differ across compaction", id)
 		}
-	}
-	if plain.stored != compacted.stored {
-		t.Errorf("stored bytes differ: %d uncompacted vs %d compacted", plain.stored, compacted.stored)
-	}
-	if plain.tokens != compacted.tokens {
-		t.Errorf("alice's token fill differs: %v uncompacted vs %v compacted", plain.tokens, compacted.tokens)
 	}
 }
 
@@ -600,82 +583,186 @@ func TestAutoCompaction(t *testing.T) {
 	}
 }
 
-// TestQuotaPersistence: token-bucket fill and stored-bytes accounting
-// survive a restart within one refill interval — a tenant cannot reset its
-// budget by crashing the server, and restarts do not double-count spills.
-func TestQuotaPersistence(t *testing.T) {
+// TestRecoverLegacyQuotaJournal: a data directory written by a release with
+// per-tenant quotas still recovers. That journal carried token-bucket fills
+// on submitted records, stored-byte totals on completed records, retry
+// attempts on started records and per-tenant "quota" checkpoints, and its
+// result spills named their tenant. Every job comes back in its state with
+// byte-identical results, no line counts as torn, and the next compaction
+// drops what no release reads any more.
+func TestRecoverLegacyQuotaJournal(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{
-		Workers: 2, DataDir: dir,
-		// Near-zero refill rate: the bucket only moves when submits spend it,
-		// so before/after comparisons are exact.
-		TenantQuota: Quota{SubmitRate: 0.0001, SubmitBurst: 50, MaxStoredBytes: 1 << 30},
-	}
-	s1, err := Open(cfg)
+	s1, err := Open(Config{Workers: 1, DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10; i++ {
+	want := map[string][]byte{} // job ID -> result bytes
+	for i, tenant := range []string{"alice", "bob"} {
 		sp := tinySpec()
 		sp.Iters = 3 + i
-		j, err := s1.Submit("alice", sp)
+		j, err := s1.Submit(tenant, sp)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st := j.Wait(); st != StateDone {
 			t.Fatalf("job ended %q", st)
 		}
-	}
-	tok1, stored1, _ := s1.quotas.snapshot("alice", s1.now())
-	if tok1 > 41 { // 50 burst - 10 spent (+ negligible refill)
-		t.Fatalf("token fill %v after 10 submits, want ~40", tok1)
-	}
-	if stored1 <= 0 {
-		t.Fatal("no stored bytes accrued for alice")
+		want[j.ID], _ = j.Result()
 	}
 	s1.Drain()
 
-	s2, err := Open(cfg)
+	// withFields appends legacy fields to one encoded record.
+	withFields := func(line []byte, fields string) string {
+		return string(line[:len(line)-1]) + "," + fields + "}"
+	}
+	const tokens = `"tokens":49,"tok_ts":1767225600000000000`
+	path := filepath.Join(dir, JournalName)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tok2, stored2, _ := s2.quotas.snapshot("alice", s2.now())
-	if diff := tok2 - tok1; diff < 0 || diff > 1 {
-		t.Errorf("token fill after restart %v, want %v (within one refill)", tok2, tok1)
+	var lines []string
+	for _, line := range bytes.Split(bytes.TrimSpace(raw), []byte("\n")) {
+		var r journalRecord
+		if err := json.Unmarshal(line, &r); err != nil {
+			t.Fatal(err)
+		}
+		switch r.Rec {
+		case recSubmitted:
+			lines = append(lines, withFields(line, tokens))
+		case recCompleted:
+			lines = append(lines, withFields(line, `"stored":2048`))
+		default:
+			lines = append(lines, string(line))
+		}
 	}
-	if stored2 != stored1 {
-		t.Errorf("stored bytes after restart %d, want %d (no double-count)", stored2, stored1)
-	}
-	if s2.Recovery().QuotaTenants < 1 {
-		t.Errorf("recovery reseeded %d quota tenants, want >= 1", s2.Recovery().QuotaTenants)
-	}
-
-	// Re-running the same specs re-spills over the same content-addressed
-	// paths; the putResult delta contract keeps the totals flat.
-	for i := 0; i < 10; i++ {
-		sp := tinySpec()
-		sp.Iters = 3 + i
-		j, err := s2.Submit("alice", sp)
+	record := func(r journalRecord, fields string) {
+		r.V = journalVersion
+		b, err := json.Marshal(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		j.Wait()
+		if fields != "" {
+			lines = append(lines, withFields(b, fields))
+		} else {
+			lines = append(lines, string(b))
+		}
 	}
-	_, stored3, _ := s2.quotas.snapshot("alice", s2.now())
-	if stored3 != stored1 {
-		t.Errorf("stored bytes after cache-hit resubmits %d, want %d", stored3, stored1)
+	submit := func(id, tenant string, iters int) {
+		sp := tinySpec()
+		sp.Iters = iters
+		if err := sp.Normalize(); err != nil {
+			t.Fatal(err)
+		}
+		hash, err := sp.Hash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		setupHash, err := sp.SetupHash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := json.Marshal(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		record(journalRecord{Rec: recSubmitted, Job: id, Tenant: tenant, SpecHash: hash, SetupHash: setupHash, Spec: spec}, tokens)
 	}
-	s2.Drain()
+	// j000003 was acknowledged and never ran; j000004 failed after three
+	// worker deaths; j000005 was cancelled in the queue.
+	submit("j000003", "carol", 5)
+	submit("j000004", "alice", 6)
+	record(journalRecord{Rec: recStarted, Job: "j000004", Tenant: "alice", Attempt: 3}, "")
+	const died = "serve: worker died after 3 attempts: boom"
+	record(journalRecord{Rec: recFailed, Job: "j000004", Tenant: "alice", Error: died}, `"stored":2048`)
+	submit("j000005", "bob", 7)
+	record(journalRecord{Rec: recCancelled, Job: "j000005", Tenant: "bob"}, "")
+	record(journalRecord{Rec: recQuota, Tenant: "alice"}, tokens+`,"stored":4096`)
+	record(journalRecord{Rec: recQuota, Tenant: "bob"}, `"stored":2048`)
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
-	// A third boot sees the same totals again (max of journal and disk scan,
-	// not their sum).
-	s3, err := Open(cfg)
+	// Result spills carried their tenant.
+	spills, err := filepath.Glob(filepath.Join(dir, resultsDirName, "*.json"))
+	if err != nil || len(spills) != 2 {
+		t.Fatalf("result spills %v (%v), want 2", spills, err)
+	}
+	for _, p := range spills {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte(withFields(bytes.TrimSpace(b), `"tenant":"alice"`)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s2, err := Open(Config{Workers: 1, DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s3.Drain()
-	_, stored4, _ := s3.quotas.snapshot("alice", s3.now())
-	if stored4 != stored1 {
-		t.Errorf("stored bytes after second restart %d, want %d", stored4, stored1)
+	rec := s2.Recovery()
+	if rec.JournalRecords != len(lines) || rec.TornRecords != 0 {
+		t.Errorf("replayed %d records (%d torn), want %d (0 torn)", rec.JournalRecords, rec.TornRecords, len(lines))
+	}
+	if rec.ResultsRehydrated != 2 || rec.SkippedFiles != 0 {
+		t.Errorf("rehydrated %d results, skipped %d files; want 2 and 0", rec.ResultsRehydrated, rec.SkippedFiles)
+	}
+	if rec.Completed != 4 || rec.Reenqueued != 1 {
+		t.Errorf("restored %d terminal and re-enqueued %d jobs, want 4 and 1", rec.Completed, rec.Reenqueued)
+	}
+	state := func(id string) Status {
+		t.Helper()
+		j, ok := s2.Job(id)
+		if !ok {
+			t.Fatalf("job %s lost in recovery", id)
+		}
+		j.Wait()
+		return j.status(false)
+	}
+	for id, res := range want {
+		j, _ := s2.Job(id)
+		if got, st := j.Result(); st != StateDone || !bytes.Equal(got, res) {
+			t.Errorf("job %s restored as %q (result equal: %v), want done with its bytes", id, st, bytes.Equal(got, res))
+		}
+	}
+	if st := state("j000003"); st.State != StateDone || st.Attempts != 1 {
+		t.Errorf("re-enqueued job ended %q after %d attempts: %s", st.State, st.Attempts, st.Error)
+	}
+	if st := state("j000004"); st.State != StateFailed || st.Error != died || st.Attempts != 3 {
+		t.Errorf("failed job restored as %q (%q, %d attempts), want failed with %q, 3 attempts", st.State, st.Error, st.Attempts, died)
+	}
+	if st := state("j000005"); st.State != StateCancelled {
+		t.Errorf("cancelled job restored as %q", st.State)
+	}
+	rerun, _ := s2.Job("j000003")
+	got, _ := rerun.Result()
+	s2.Drain()
+
+	ref := NewServer(Config{Workers: 1})
+	defer ref.Drain()
+	sp := tinySpec()
+	sp.Iters = 5
+	j, err := ref.Submit("ref", sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Wait()
+	if res, _ := j.Result(); !bytes.Equal(got, res) {
+		t.Error("re-run of the legacy job differs from an uncrashed server's result")
+	}
+
+	if _, _, err := CompactDataDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	compacted, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, gone := range []string{`"rec":"quota"`, `"tokens":`, `"tok_ts":`, `"stored":`} {
+		if bytes.Contains(compacted, []byte(gone)) {
+			t.Errorf("compacted journal still holds %s", gone)
+		}
 	}
 }

@@ -49,8 +49,8 @@ type Job struct {
 	// deadline is the job's wall-clock completion deadline (zero = none),
 	// set at admission from spec.DeadlineSeconds.
 	deadline time.Time
-	// attempts counts how many times a worker started this job; >1 means it
-	// was retried after its worker died.
+	// attempts counts how many times a worker started this job; >1 only when
+	// crash recovery re-ran the job.
 	attempts int
 
 	state       State
@@ -121,27 +121,6 @@ func (j *Job) start(now time.Time) (wait time.Duration, attempt int) {
 	j.appendSpanLocked("queue-wait", j.submitted, now, "")
 	j.appendLineLocked(streamLine{Kind: "state", State: string(StateRunning), Job: j.ID})
 	return now.Sub(j.submitted), j.attempts
-}
-
-// requeue transitions running → queued after the job's worker died (the
-// bounded-retry path). Reports false if the job reached a terminal state in
-// the meantime (e.g. a racing cancel).
-func (j *Job) requeue() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != StateRunning {
-		return false
-	}
-	j.state = StateQueued
-	j.appendLineLocked(streamLine{Kind: "state", State: string(StateQueued), Job: j.ID})
-	return true
-}
-
-// submittedTime returns the job's submission instant (queue-age watermark).
-func (j *Job) submittedTime() time.Time {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.submitted
 }
 
 // addSpan appends one wall-clock span to the job's trace.
@@ -269,7 +248,7 @@ type Status struct {
 	Started   *time.Time    `json:"started,omitempty"`
 	Finished  *time.Time    `json:"finished,omitempty"`
 	Deadline  *time.Time    `json:"deadline,omitempty"`
-	Attempts  int           `json:"attempts,omitempty"` // >1: retried after a worker death
+	Attempts  int           `json:"attempts,omitempty"` // >1 only when crash recovery re-ran the job
 	Recovered bool          `json:"recovered,omitempty"`
 	Spec      *jobspec.Spec `json:"spec,omitempty"`
 }

@@ -53,9 +53,9 @@ const (
 	recCompleted = "completed"
 	recFailed    = "failed"
 	recCancelled = "cancelled"
-	// recQuota is a jobless per-tenant accounting checkpoint (token-bucket
-	// fill and stored-bytes total), written by compaction so recovery can
-	// rehydrate quota state without the full submit history.
+	// recQuota is the per-tenant quota checkpoint older releases wrote at
+	// compaction. Replay accepts it and ignores it; the next compaction
+	// drops it.
 	recQuota = "quota"
 )
 
@@ -71,13 +71,6 @@ type journalRecord struct {
 	Attempt   int             `json:"attempt,omitempty"`
 	Cache     string          `json:"cache,omitempty"`
 	Error     string          `json:"error,omitempty"`
-	// Quota piggyback: the tenant's post-admission token-bucket fill (and
-	// the instant it was observed) on submitted records, and the tenant's
-	// stored-bytes total on completed records — so replay rehydrates quota
-	// accounting to within one refill of the pre-crash values.
-	Tokens *float64 `json:"tokens,omitempty"`
-	TokTS  int64    `json:"tok_ts,omitempty"`
-	Stored *int64   `json:"stored,omitempty"`
 	// UnixNano is a wall-clock stamp for operators (journal-dump); recovery
 	// never depends on it.
 	UnixNano int64 `json:"ts,omitempty"`
@@ -529,22 +522,11 @@ func (jj *journalJob) terminal() bool {
 	return false
 }
 
-// quotaSnap is the replayed per-tenant quota accounting: the last journaled
-// token-bucket observation and the high-water stored-bytes total.
-type quotaSnap struct {
-	Tokens    float64
-	HasTokens bool
-	TokTS     int64
-	Stored    int64
-	HasStored bool
-}
-
 // journalReplay is the result of reading a WAL: per-job folds in first-seen
-// order, per-tenant quota snapshots, plus corruption accounting.
+// order, plus corruption accounting.
 type journalReplay struct {
 	jobs  map[string]*journalJob
 	order []string
-	quota map[string]*quotaSnap
 	// records is the count of well-formed records; torn counts skipped
 	// lines — truncated trailing writes from a crash, or corrupt bytes.
 	records int
@@ -552,7 +534,7 @@ type journalReplay struct {
 }
 
 func newJournalReplay() *journalReplay {
-	return &journalReplay{jobs: map[string]*journalJob{}, quota: map[string]*quotaSnap{}}
+	return &journalReplay{jobs: map[string]*journalJob{}}
 }
 
 // readJournal loads and folds a WAL. Undecodable lines (a torn final record
@@ -594,12 +576,7 @@ func (rp *journalReplay) applyLine(line []byte) {
 	}
 	switch r.Rec {
 	case recQuota:
-		if r.Tenant == "" {
-			rp.torn++
-			return
-		}
 		rp.records++
-		rp.applyQuota(r)
 		return
 	case recSubmitted, recStarted, recCompleted, recFailed, recCancelled:
 		if r.Job == "" {
@@ -611,9 +588,6 @@ func (rp *journalReplay) applyLine(line []byte) {
 		return
 	}
 	rp.records++
-	if r.Tokens != nil || r.Stored != nil {
-		rp.applyQuota(r)
-	}
 	jj := rp.jobs[r.Job]
 	if jj == nil {
 		jj = &journalJob{ID: r.Job, State: r.Rec}
@@ -650,38 +624,15 @@ func (rp *journalReplay) applyLine(line []byte) {
 	}
 }
 
-// applyQuota folds one record's quota piggyback fields. Token observations
-// are last-writer-wins (each snapshots the whole bucket at its instant);
-// stored-bytes totals take the maximum, so replaying records out of their
-// append order never undercounts a tenant's disk usage.
-func (rp *journalReplay) applyQuota(r journalRecord) {
-	q := rp.quota[r.Tenant]
-	if q == nil {
-		q = &quotaSnap{}
-		rp.quota[r.Tenant] = q
-	}
-	if r.Tokens != nil && r.TokTS >= q.TokTS {
-		q.Tokens = *r.Tokens
-		q.HasTokens = true
-		q.TokTS = r.TokTS
-	}
-	if r.Stored != nil {
-		q.HasStored = true
-		if *r.Stored > q.Stored {
-			q.Stored = *r.Stored
-		}
-	}
-}
-
 // ---- compaction ----
 
 // compactJournal rewrites raw WAL bytes to live state: one submitted record
 // per job (its spec dropped only when the job is completed AND haveResult
 // confirms its spilled result is on disk — otherwise recovery could neither
 // serve nor re-run it), a single started record carrying the attempt total,
-// the terminal record, and one quota checkpoint per tenant. The output is
-// O(live jobs), deterministic for a given fold (jobs in first-seen order,
-// tenants sorted), and replays to the same recovery decisions as the input.
+// and the terminal record. The output is O(live jobs), deterministic for a
+// given fold (jobs in first-seen order), and replays to the same recovery
+// decisions as the input.
 func compactJournal(data []byte, haveResult func(hash string) bool) ([]byte, error) {
 	rp := replayJournal(data)
 	var buf bytes.Buffer
@@ -725,27 +676,6 @@ func compactJournal(data []byte, haveResult func(hash string) bool) ([]byte, err
 			if err := emit(*term); err != nil {
 				return nil, err
 			}
-		}
-	}
-	tenants := make([]string, 0, len(rp.quota))
-	for t := range rp.quota {
-		tenants = append(tenants, t)
-	}
-	sort.Strings(tenants)
-	for _, t := range tenants {
-		q := rp.quota[t]
-		rec := journalRecord{Rec: recQuota, Tenant: t}
-		if q.HasTokens {
-			tok := q.Tokens
-			rec.Tokens = &tok
-			rec.TokTS = q.TokTS
-		}
-		if q.HasStored {
-			stored := q.Stored
-			rec.Stored = &stored
-		}
-		if err := emit(rec); err != nil {
-			return nil, err
 		}
 	}
 	return buf.Bytes(), nil

@@ -3,8 +3,10 @@ package serve
 import (
 	"errors"
 	"sync"
-	"time"
 )
+
+// DefaultQueueDepth is the queue capacity when Config.QueueDepth is 0.
+const DefaultQueueDepth = 1024
 
 // ErrQueueFull is returned by push when the queue is at capacity; the HTTP
 // layer maps it to 429 Too Many Requests (backpressure).
@@ -32,7 +34,7 @@ type fairQueue struct {
 
 func newFairQueue(capacity int) *fairQueue {
 	if capacity <= 0 {
-		capacity = 1024
+		capacity = DefaultQueueDepth
 	}
 	q := &fairQueue{queues: make(map[string][]*Job), cap: capacity}
 	q.cond = sync.NewCond(&q.mu)
@@ -152,24 +154,9 @@ func (q *fairQueue) depth() int {
 	return q.size
 }
 
-// oldestWait returns how long the oldest queued job has been waiting (0 when
-// the queue is empty). Each tenant FIFO's head is that tenant's oldest job,
-// so the global oldest is the min over heads — the admission controller's
-// queue-age watermark reads this.
-func (q *fairQueue) oldestWait(now time.Time) time.Duration {
+// full returns the number of queued jobs and whether they fill the queue.
+func (q *fairQueue) full() (int, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	var oldest time.Time
-	for _, fifo := range q.queues {
-		if len(fifo) == 0 {
-			continue
-		}
-		if t := fifo[0].submittedTime(); oldest.IsZero() || t.Before(oldest) {
-			oldest = t
-		}
-	}
-	if oldest.IsZero() {
-		return 0
-	}
-	return now.Sub(oldest)
+	return q.size, q.size >= q.cap
 }

@@ -21,7 +21,6 @@ type RecoveryStats struct {
 	ResultsRehydrated int `json:"rehydrated_results"` // result-cache entries loaded from disk
 	SetupsRehydrated  int `json:"rehydrated_setups"`  // setup-cache entries loaded from disk
 	SkippedFiles      int `json:"skipped_files"`      // corrupt/foreign store files ignored
-	QuotaTenants      int `json:"quota_tenants"`      // tenants whose quota accounting was reseeded
 }
 
 // recoverFromDisk opens the data directory, replays the journal, rehydrates
@@ -41,14 +40,13 @@ func (s *Server) recoverFromDisk(dir string) error {
 	}
 	s.store = st
 
-	// Rehydrate the caches (and per-tenant stored-bytes accounting) from the
-	// spill. Corrupt or foreign files are skipped, not fatal: a torn spill
-	// write is equivalent to the entry never having been cached.
+	// Rehydrate the caches from the spill. Corrupt or foreign files are
+	// skipped, not fatal: a torn spill write is equivalent to the entry never
+	// having been cached.
 	now := s.now()
 	skipped, err := st.loadAll(
-		func(hash string, e resultEntry, tenant string, cost float64, diskBytes int64) {
+		func(hash string, e resultEntry, cost float64) {
 			s.results.Put(hash, e, cost)
-			s.quotas.addStored(tenant, diskBytes, now)
 			s.recovery.ResultsRehydrated++
 		},
 		func(hash string, assignments [][]int, cost float64) {
@@ -94,7 +92,6 @@ func (s *Server) recoverFromDisk(dir string) error {
 		if !jj.terminal() {
 			// Acknowledged but never finished: the ack promised completion,
 			// so re-enqueue past the capacity bound.
-			s.quotas.admitRecovered(j.Tenant, now)
 			if err := s.queue.forcePush(j); err != nil {
 				return fmt.Errorf("serve: re-enqueue %s: %w", j.ID, err)
 			}
@@ -108,15 +105,6 @@ func (s *Server) recoverFromDisk(dir string) error {
 		s.nextID = maxID
 	}
 	s.mu.Unlock()
-
-	// Reseed per-tenant quota accounting from the journal's piggybacked
-	// observations. This runs after loadAll's disk scan, so stored bytes end
-	// at max(scan, journal) — the journal covers results the crash lost off
-	// disk; the scan covers spills whose completed record was lost.
-	for tenant, snap := range rep.quota {
-		s.quotas.seed(tenant, *snap, now)
-		s.recovery.QuotaTenants++
-	}
 
 	// Reopen the journal for appends; new records land after the replayed
 	// ones, and the next replay folds both.
@@ -202,15 +190,6 @@ func (s *Server) registerRecovered(j *Job) {
 	s.jobs[j.ID] = j
 	s.order = append(s.order, j.ID)
 	s.mu.Unlock()
-}
-
-// admitRecovered re-takes an in-flight slot for a re-enqueued job without
-// consuming rate tokens: the tenant already paid the token at original
-// submission, and the crash was not their fault.
-func (qs *quotas) admitRecovered(tenant string, now time.Time) {
-	qs.mu.Lock()
-	qs.state(tenant, now).inFlight++
-	qs.mu.Unlock()
 }
 
 // numericJobID parses the numeric part of a "j%06d" ID (0 if foreign).

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -443,22 +444,261 @@ func TestCancelRunning(t *testing.T) {
 	}
 }
 
+func TestDeadlinePreemptsMidRun(t *testing.T) {
+	s := NewServer(Config{Workers: 1})
+	defer s.Drain()
+	sp := tinySpec()
+	sp.Iters = 5000 // tens of seconds if run to completion
+	sp.DeadlineSeconds = 0.05
+	j, err := s.Submit("t", sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := j.Wait(); st != StateFailed {
+		t.Fatalf("deadline job ended %q, want failed", st)
+	}
+	st := j.status(false)
+	if !strings.Contains(st.Error, "deadline") {
+		t.Errorf("deadline job error %q", st.Error)
+	}
+	if st.Deadline == nil {
+		t.Error("status missing the deadline field")
+	}
+	// A preempted run's partial bytes must never be cached.
+	if s.results.Len() != 0 {
+		t.Error("partial result of a deadline-preempted run was cached")
+	}
+}
+
+func TestDeadlineExpiresInQueue(t *testing.T) {
+	s := NewServer(Config{Workers: 1})
+	defer s.Drain()
+	// Pin the worker long enough for the deadline job's budget to expire
+	// while it is still queued.
+	pin := tinySpec()
+	pin.Iters = 200 // ~hundreds of ms, far beyond the 1ms deadline below
+	if _, err := s.Submit("t", pin); err != nil {
+		t.Fatal(err)
+	}
+	sp := tinySpec()
+	sp.Iters = 3
+	sp.DeadlineSeconds = 0.001
+	j, err := s.Submit("t", sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := j.Wait(); st != StateFailed {
+		t.Fatalf("expired-in-queue job ended %q, want failed", st)
+	}
+	if st := j.status(false); !strings.Contains(st.Error, "deadline") {
+		t.Errorf("expired-in-queue job error %q", st.Error)
+	}
+}
+
+// TestRetryAfterWorkerDeath: a worker death is not retried, even when a
+// second run would succeed. The job fails after one run, the failure is not
+// cached, and a fresh submit of the same spec runs again and completes.
+func TestRetryAfterWorkerDeath(t *testing.T) {
+	s := NewServer(Config{Workers: 1})
+	defer s.Drain()
+	var calls atomic.Int32
+	s.runFn = func(spec *jobspec.Spec, specHash string, preset [][]int, preempt func() bool, lap *lapClock) (*runOutcome, error) {
+		if calls.Add(1) == 1 {
+			panic("injected worker death")
+		}
+		return runJob(spec, specHash, preset, preempt, lap)
+	}
+	j, err := s.Submit("t", tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := j.Wait(); st != StateFailed {
+		t.Fatalf("job whose worker died ended %q, want failed", st)
+	}
+	if st := j.status(false); st.Attempts != 1 || calls.Load() != 1 {
+		t.Errorf("attempts %d after %d runs, want 1 and 1 (no retry)", st.Attempts, calls.Load())
+	}
+	if s.results.Len() != 0 {
+		t.Error("a failed run left a cached result")
+	}
+	again, err := s.Submit("t", tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := again.Wait(); st != StateDone {
+		t.Fatalf("resubmitted spec ended %q: %s", st, again.status(false).Error)
+	}
+	if n := calls.Load(); n != 2 {
+		t.Errorf("runs after resubmit %d, want 2", n)
+	}
+}
+
+// TestRetryExhaustionFails: a job whose every run panics reports, over HTTP,
+// the failed state with the panic text after a single attempt, and the
+// metrics count it as failed.
+func TestRetryExhaustionFails(t *testing.T) {
+	s := NewServer(Config{Workers: 1})
+	defer s.Drain()
+	s.runFn = func(spec *jobspec.Spec, specHash string, preset [][]int, preempt func() bool, lap *lapClock) (*runOutcome, error) {
+		panic("always dies")
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, body := postSpec(t, ts, "t", tinySpec(), "")
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", resp.StatusCode, body)
+	}
+	var st Status
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	j, ok := s.Job(st.ID)
+	if !ok {
+		t.Fatalf("job %s not registered", st.ID)
+	}
+	if got := j.Wait(); got != StateFailed {
+		t.Fatalf("always-dying job ended %q, want failed", got)
+	}
+	resp, body = get(t, ts, "/v1/jobs/"+st.ID)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status: %d %s", resp.StatusCode, body)
+	}
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateFailed || st.Error != "serve: worker died: always dies" || st.Attempts != 1 {
+		t.Errorf("status %q, error %q, attempts %d; want failed, the panic text, 1", st.State, st.Error, st.Attempts)
+	}
+	if resp, _ := get(t, ts, "/v1/jobs/"+st.ID+"/result"); resp.StatusCode == http.StatusOK {
+		t.Error("failed job served a result")
+	}
+	_, body = get(t, ts, "/metrics")
+	if !strings.Contains(string(body), "stencilserve_jobs_failed_total 1") {
+		t.Errorf("metrics do not count the failed job:\n%s", body)
+	}
+}
+
+// TestWorkerPanicFailsOnce: a run that panics fails its job on that first
+// panic — the run is a pure function of the spec, so a retry would only
+// panic again — and the worker that recovered it goes on to the next job.
+// The failure is journaled, so a restart restores the job as failed instead
+// of re-running it.
+func TestWorkerPanicFailsOnce(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Config{Workers: 1, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := tinySpec()
+	bad.Iters = 3
+	var badRuns atomic.Int32
+	s.runFn = func(spec *jobspec.Spec, specHash string, preset [][]int, preempt func() bool, lap *lapClock) (*runOutcome, error) {
+		if spec.Iters == bad.Iters {
+			badRuns.Add(1)
+			panic("injected panic")
+		}
+		return runJob(spec, specHash, preset, preempt, lap)
+	}
+	const wantErr = "serve: worker died: injected panic"
+	j, err := s.Submit("t", bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := j.Wait(); st != StateFailed {
+		t.Fatalf("panicking job ended %q, want failed", st)
+	}
+	if st := j.status(false); st.Error != wantErr || st.Attempts != 1 {
+		t.Errorf("panicking job: error %q, attempts %d; want %q, 1", st.Error, st.Attempts, wantErr)
+	}
+
+	// The same single worker serves the next job.
+	next, err := s.Submit("t", tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := next.Wait(); st != StateDone {
+		t.Fatalf("job after the panic ended %q: %s", st, next.status(false).Error)
+	}
+	ts := httptest.NewServer(s.Handler())
+	_, body := get(t, ts, "/metrics")
+	ts.Close()
+	if !strings.Contains(string(body), "stencilserve_jobs_failed_total 1") {
+		t.Errorf("metrics do not count the failed job:\n%s", body)
+	}
+	s.Drain()
+	if n := badRuns.Load(); n != 1 {
+		t.Errorf("panicking job ran %d times, want 1", n)
+	}
+
+	s2, err := Open(Config{Workers: 1, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Drain()
+	if rec := s2.Recovery(); rec.Reenqueued != 0 || rec.Completed != 2 {
+		t.Errorf("recovery re-enqueued %d and restored %d jobs, want 0 and 2", rec.Reenqueued, rec.Completed)
+	}
+	failed, ok := s2.Job(j.ID)
+	if !ok {
+		t.Fatalf("failed job %s lost in recovery", j.ID)
+	}
+	if st := failed.status(false); st.State != StateFailed || st.Attempts != 1 {
+		t.Errorf("failed job restored as %q after %d attempts, want failed after 1", st.State, st.Attempts)
+	}
+}
+
 func TestBackpressure(t *testing.T) {
-	s := NewServer(Config{Workers: -1, QueueDepth: 2})
+	s, err := Open(Config{Workers: -1, QueueDepth: 2, DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	for i := 0; i < 2; i++ {
-		if resp, body := postSpec(t, ts, "", tinySpec(), ""); resp.StatusCode != http.StatusAccepted {
+		if resp, body := postSpec(t, ts, "t", tinySpec(), ""); resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("submit %d: %d %s", i, resp.StatusCode, body)
 		}
 	}
-	resp, body := postSpec(t, ts, "", tinySpec(), "")
+	journaled := s.JournalStats()
+	resp, body := postSpec(t, ts, "t", tinySpec(), "")
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overflow submit: %d %s, want 429", resp.StatusCode, body)
 	}
 	if got := len(s.Jobs("")); got != 2 {
 		t.Fatalf("rejected job left in registry: %d jobs listed", got)
+	}
+	// The refusal comes before the journal: no record, no fsync.
+	if got := s.JournalStats(); got.Records != journaled.Records || got.Syncs != journaled.Syncs {
+		t.Errorf("refused submit touched the journal: %+v -> %+v", journaled, got)
+	}
+}
+
+func TestRejectionHTTPSchema(t *testing.T) {
+	// Every 429 carries Retry-After and the structured JSON body the README
+	// documents.
+	s := NewServer(Config{Workers: -1, QueueDepth: 1})
+	defer s.Drain()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	if resp, body := postSpec(t, ts, "t", tinySpec(), ""); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("first submit: %d %s", resp.StatusCode, body)
+	}
+	sp := tinySpec()
+	sp.Iters = 7
+	resp, body := postSpec(t, ts, "t", sp, "")
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("full-queue submit: %d %s, want 429", resp.StatusCode, body)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra == "" || ra == "0" {
+		t.Errorf("Retry-After header %q, want a positive integer", ra)
+	}
+	for _, want := range []string{`"code": "queue_full"`, `"tenant": "t"`, `"queue_depth": 1`, `"retry_after_s"`} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("429 body missing %s:\n%s", want, body)
+		}
 	}
 }
 
@@ -654,4 +894,42 @@ func TestServeLoad(t *testing.T) {
 	if hits < jobs/2 {
 		t.Errorf("result cache hits %d of %d, expected most submissions to hit", hits, jobs)
 	}
+}
+
+func TestCostAwareLRU(t *testing.T) {
+	c := NewCache[string](2 * cacheShards) // 2 entries per shard
+	// Find three keys in one shard so the eviction scan is deterministic.
+	keys := sameShardKeys(c, 3)
+	c.Put(keys[0], "expensive", 100) // oldest, high cost
+	c.Put(keys[1], "cheap", 1)       // newer, low cost
+	c.Put(keys[2], "new", 10)        // forces an eviction
+	// Cost-aware: the cheap entry dies even though the expensive one is
+	// colder.
+	if _, ok := c.Get(keys[0]); !ok {
+		t.Error("expensive cold entry evicted; want the cheap one gone")
+	}
+	if _, ok := c.Get(keys[1]); ok {
+		t.Error("cheap entry survived eviction")
+	}
+	if _, _, ev := c.Stats(); ev != 1 {
+		t.Errorf("evictions %d, want 1", ev)
+	}
+	// Hit/miss counters: the two lookups above.
+	h, m, _ := c.Stats()
+	if h != 1 || m != 1 {
+		t.Errorf("hits=%d misses=%d, want 1/1", h, m)
+	}
+}
+
+// sameShardKeys generates n distinct keys hashing to one shard.
+func sameShardKeys[V any](c *Cache[V], n int) []string {
+	target := c.shard("seed-0")
+	keys := []string{"seed-0"}
+	for i := 1; len(keys) < n; i++ {
+		k := fmt.Sprintf("seed-%d", i)
+		if c.shard(k) == target {
+			keys = append(keys, k)
+		}
+	}
+	return keys
 }

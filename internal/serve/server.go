@@ -3,10 +3,10 @@
 //
 // Jobs are jobspec.Spec documents submitted over HTTP/JSON. A sharded worker
 // pool runs each job on a fresh, isolated engine; per-tenant fair queueing
-// bounds how much one tenant can delay another, per-tenant quotas (submit
-// rate, in-flight jobs, stored bytes) bound what one tenant can consume, and
-// admission control sheds load (429 + Retry-After) when the queue's depth or
-// age crosses its watermarks.
+// bounds how much one tenant can delay another, and a full queue refuses new
+// submissions (429 + Retry-After) before they cost a journal write. A job
+// whose run panics fails on that first panic: the run is a pure function of
+// the spec, so a retry would only panic again.
 //
 // Determinism is the load-bearing property. The engine maps a normalized
 // spec to byte-identical result and event bytes on every run, which makes
@@ -50,7 +50,8 @@ type Config struct {
 	// queue-state transitions deterministically.
 	Workers int
 	// QueueDepth bounds the number of queued (not yet running) jobs across
-	// all tenants; 0 defaults to 1024. Submissions beyond it get 429.
+	// all tenants; 0 defaults to DefaultQueueDepth. Submissions beyond it get
+	// 429.
 	QueueDepth int
 	// ResultCacheEntries and SetupCacheEntries bound the two caches;
 	// 0 defaults to 4096 each.
@@ -61,29 +62,6 @@ type Config struct {
 	// spill of both caches live here, and Open replays them on boot. Empty
 	// means in-memory only (a crash loses everything, as before).
 	DataDir string
-
-	// TenantQuota is the default per-tenant budget; Quotas overrides it for
-	// named tenants. The zero Quota means unlimited.
-	TenantQuota Quota
-	Quotas      map[string]Quota
-
-	// Admission watermarks. At DegradeDepth queued jobs the server enters
-	// degraded mode: submissions that would miss both caches (a cold setup
-	// solve plus a full run) are refused, while cache hits still serve. At
-	// ShedDepth (or when the oldest queued job is older than ShedAge) every
-	// new submission is refused. 0 disables DegradeDepth and ShedAge;
-	// ShedDepth defaults to QueueDepth (shedding exactly where the queue
-	// would refuse anyway, but with a Retry-After hint).
-	DegradeDepth int
-	ShedDepth    int
-	ShedAge      time.Duration
-
-	// RetryLimit bounds how many times a job whose worker dies (a panic
-	// inside the engine) is retried with exponential backoff before it is
-	// failed; 0 defaults to 2. RetryBackoff is the first delay (default
-	// 25ms, doubling per attempt).
-	RetryLimit   int
-	RetryBackoff time.Duration
 
 	// CompactBytes triggers an automatic journal compaction whenever the
 	// file grows past this many bytes; 0 disables auto-compaction (the
@@ -98,7 +76,6 @@ type Server struct {
 	queue   *fairQueue
 	results *Cache[resultEntry]
 	setups  *Cache[setupEntry]
-	quotas  *quotas
 
 	journal *journal // nil when in-memory only
 	store   *store   // nil when in-memory only
@@ -129,7 +106,7 @@ type Server struct {
 	now func() time.Time
 
 	// runFn executes one job on the engine; swappable in tests (the
-	// worker-death retry path injects panics through it).
+	// worker-panic path injects panics through it).
 	runFn func(spec *jobspec.Spec, specHash string, preset [][]int, preempt func() bool, lap *lapClock) (*runOutcome, error)
 }
 
@@ -157,18 +134,11 @@ func Open(cfg Config) (*Server, error) {
 	} else if cfg.Workers < 0 {
 		cfg.Workers = 0
 	}
-	if cfg.RetryLimit <= 0 {
-		cfg.RetryLimit = 2
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 25 * time.Millisecond
-	}
 	s := &Server{
 		cfg:     cfg,
 		queue:   newFairQueue(cfg.QueueDepth),
 		results: NewCache[resultEntry](cfg.ResultCacheEntries),
 		setups:  NewCache[setupEntry](cfg.SetupCacheEntries),
-		quotas:  newQuotas(cfg.TenantQuota, cfg.Quotas),
 		jobs:    make(map[string]*Job),
 		tel:     telemetry.New(),
 		now:     time.Now,
@@ -186,56 +156,6 @@ func Open(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// shedDepth / degradeDepth resolve the configured watermarks.
-func (s *Server) shedDepth() int {
-	if s.cfg.ShedDepth > 0 {
-		return s.cfg.ShedDepth
-	}
-	if s.cfg.QueueDepth > 0 {
-		return s.cfg.QueueDepth
-	}
-	return 1024
-}
-
-// degradeDepth returns the degraded-mode watermark; 0 means disabled.
-func (s *Server) degradeDepth() int { return s.cfg.DegradeDepth }
-
-// admit is the overload-protection gate: watermark shedding first (cheapest
-// refusal), then the tenant's quotas (which commit an in-flight slot and a
-// rate token on success). resultHit/setupHit are cache peeks for the spec.
-func (s *Server) admit(tenant string, now time.Time, resultHit, setupHit bool) *AdmissionError {
-	depth := s.queue.depth()
-	if depth >= s.shedDepth() {
-		return &AdmissionError{
-			Code: CodeOverloaded, Tenant: tenant, QueueDepth: depth,
-			RetryAfter: shedRetryAfter(depth, s.cfg.Workers),
-			msg:        "queue depth over the shed watermark",
-		}
-	}
-	if s.cfg.ShedAge > 0 && s.queue.oldestWait(now) > s.cfg.ShedAge {
-		return &AdmissionError{
-			Code: CodeOverloaded, Tenant: tenant, QueueDepth: depth,
-			RetryAfter: shedRetryAfter(depth, s.cfg.Workers),
-			msg:        "queued work older than the age watermark",
-		}
-	}
-	// Degraded mode: refuse the expensive misses first. A job that hits the
-	// result cache costs nothing; one that hits the setup cache skips the
-	// QAP solve; a double miss pays full price and is the first to go.
-	if d := s.degradeDepth(); d > 0 && depth >= d && !resultHit && !setupHit {
-		return &AdmissionError{
-			Code: CodeDegraded, Tenant: tenant, QueueDepth: depth,
-			RetryAfter: shedRetryAfter(depth, s.cfg.Workers),
-			msg:        "degraded mode: only cache-served jobs admitted",
-		}
-	}
-	if ae := s.quotas.admit(tenant, now, !resultHit); ae != nil {
-		ae.QueueDepth = depth
-		return ae
-	}
-	return nil
-}
-
 // shedRetryAfter estimates a client backoff from the backlog: one second
 // plus a second per 64 queued jobs per worker — rough, monotone in load,
 // and cheap.
@@ -246,9 +166,9 @@ func shedRetryAfter(depth, workers int) time.Duration {
 	return time.Second * time.Duration(1+depth/(64*workers))
 }
 
-// Submit validates, admits, journals, and enqueues a job. It is the
-// programmatic form of POST /v1/jobs; the HTTP layer maps an AdmissionError
-// to 429 (503 when draining) with Retry-After, and any other error to 400.
+// Submit validates, journals, and enqueues a job. It is the programmatic
+// form of POST /v1/jobs; the HTTP layer maps an AdmissionError to 429 (503
+// when draining) with Retry-After, and any other error to 400.
 // When a journal is configured, Submit returns only after the job's
 // submitted record is fsync'd — the durability contract: an acknowledged
 // job survives a crash.
@@ -285,16 +205,11 @@ func (s *Server) Submit(tenant string, spec *jobspec.Spec) (*Job, error) {
 	}
 	s.mu.Unlock()
 
-	resultHit := s.results.Contains(hash)
-	setupHit := resultHit || (spec.CacheableSetup() && s.setups.Contains(setupHash))
-	if ae := s.admit(tenant, now, resultHit, setupHit); ae != nil {
-		s.count("stencilserve_rejections_total",
-			telemetry.Label{Key: "code", Value: ae.Code},
-			telemetry.Label{Key: "tenant", Value: tenant})
-		return nil, ae
+	// A full queue refuses before the journal write, so a refused submit
+	// costs no fsync; push's own bound catches the submits that race past.
+	if depth, full := s.queue.full(); full {
+		return nil, s.queueFull(tenant, depth)
 	}
-	// From here the tenant holds an in-flight slot; every exit path must
-	// either enqueue the job or release the slot.
 
 	s.mu.Lock()
 	s.nextID++
@@ -312,23 +227,15 @@ func (s *Server) Submit(tenant string, spec *jobspec.Spec) (*Job, error) {
 	// the fsync across concurrent submitters.
 	if s.journal != nil {
 		spec0, merr := json.Marshal(spec)
-		rec := journalRecord{
-			Rec: recSubmitted, Job: id, Tenant: tenant,
-			SpecHash: hash, SetupHash: setupHash,
-			Spec: spec0, UnixNano: nowNano(s.now),
-		}
-		// Piggyback the post-admission bucket fill so a restart resumes the
-		// tenant's rate budget instead of refunding it (quota persistence).
-		if tok, _, hasRate := s.quotas.snapshot(tenant, now); hasRate {
-			rec.Tokens = &tok
-			rec.TokTS = now.UnixNano()
-		}
 		if merr == nil {
-			merr = s.journal.append(rec, true)
+			merr = s.journal.append(journalRecord{
+				Rec: recSubmitted, Job: id, Tenant: tenant,
+				SpecHash: hash, SetupHash: setupHash,
+				Spec: spec0, UnixNano: nowNano(s.now),
+			}, true)
 		}
 		if merr != nil {
 			s.unregister(id)
-			s.quotas.release(tenant, now)
 			return nil, fmt.Errorf("serve: journal submit: %w", merr)
 		}
 		s.count("stencilserve_journal_records_total")
@@ -337,20 +244,27 @@ func (s *Server) Submit(tenant string, spec *jobspec.Spec) (*Job, error) {
 	if err := s.queue.push(j); err != nil {
 		// Roll back: compensating cancel record (non-durable — if it is
 		// lost, recovery re-runs a job nobody is waiting for; wasteful but
-		// correct), registry removal, slot release.
+		// correct) and registry removal.
 		s.journalAppend(journalRecord{Rec: recCancelled, Job: id, SpecHash: hash, Tenant: tenant, UnixNano: nowNano(s.now)})
 		s.unregister(id)
-		s.quotas.release(tenant, now)
 		if errors.Is(err, ErrDraining) {
 			return nil, &AdmissionError{Code: CodeDraining, Tenant: tenant, Err: ErrDraining, RetryAfter: time.Second}
 		}
-		return nil, &AdmissionError{
-			Code: CodeQueueFull, Tenant: tenant, Err: ErrQueueFull,
-			QueueDepth: s.queue.depth(), RetryAfter: shedRetryAfter(s.queue.depth(), s.cfg.Workers),
-		}
+		return nil, s.queueFull(tenant, s.queue.depth())
 	}
 	s.count("stencilserve_jobs_submitted_total", telemetry.Label{Key: "tenant", Value: tenant})
 	return j, nil
+}
+
+// queueFull counts and builds the 429 for a submit refused by a full queue.
+func (s *Server) queueFull(tenant string, depth int) *AdmissionError {
+	s.count("stencilserve_rejections_total",
+		telemetry.Label{Key: "code", Value: CodeQueueFull},
+		telemetry.Label{Key: "tenant", Value: tenant})
+	return &AdmissionError{
+		Code: CodeQueueFull, Tenant: tenant, Err: ErrQueueFull,
+		QueueDepth: depth, RetryAfter: shedRetryAfter(depth, s.cfg.Workers),
+	}
 }
 
 // unregister removes a job that never made it into the queue.
@@ -422,7 +336,6 @@ func (s *Server) Cancel(id string) (Status, bool, error) {
 	// so the queued→cancelled transition cannot race a start.
 	if s.queue.remove(j) && j.cancel(s.now()) {
 		s.journalAppend(journalRecord{Rec: recCancelled, Job: j.ID, SpecHash: j.Hash, Tenant: j.Tenant, UnixNano: nowNano(s.now)})
-		s.quotas.release(j.Tenant, s.now())
 		s.count("stencilserve_jobs_cancelled_total")
 		return j.status(false), true, nil
 	}
@@ -480,16 +393,13 @@ func (s *Server) worker() {
 	}
 }
 
-// finalize applies a terminal transition with its journal record and
-// in-flight release — every completion path funnels through here so no exit
-// leaks a quota slot or a journal state. stored, when non-nil, is the
-// tenant's stored-bytes total after this job's spill, piggybacked onto the
-// record for quota persistence.
-func (s *Server) finalize(j *Job, rec string, stored *int64, apply func(now time.Time)) {
+// finalize applies a terminal transition with its journal record — every
+// completion path funnels through here so no exit leaves a job without its
+// terminal journal state.
+func (s *Server) finalize(j *Job, rec string, apply func(now time.Time)) {
 	now := s.now()
 	apply(now)
-	s.journalAppend(journalRecord{Rec: rec, Job: j.ID, SpecHash: j.Hash, Tenant: j.Tenant, Stored: stored, UnixNano: now.UnixNano()})
-	s.quotas.release(j.Tenant, now)
+	s.journalAppend(journalRecord{Rec: rec, Job: j.ID, SpecHash: j.Hash, Tenant: j.Tenant, UnixNano: now.UnixNano()})
 }
 
 // execute runs one job through the cache layers and the engine. Every phase
@@ -497,17 +407,25 @@ func (s *Server) finalize(j *Job, rec string, stored *int64, apply func(now time
 // queue-wait and run-duration histograms; none of that timing can reach the
 // cached result or event bytes, which stay pure functions of the spec.
 func (s *Server) execute(j *Job) {
+	// A panic out of the engine fails the job on the spot. The run is a pure
+	// function of the spec, so a retry would panic again; the worker itself
+	// survives, so the pool never shrinks.
 	defer func() {
-		if r := recover(); r != nil {
-			s.retryOrFail(j, r)
+		r := recover()
+		if r == nil || s.killed.Load() {
+			return
 		}
+		s.finalize(j, recFailed, func(now time.Time) {
+			j.finish(now, nil, nil, fmt.Errorf("serve: worker died: %v", r), false, false)
+		})
+		s.count("stencilserve_jobs_failed_total")
 	}()
 	if s.killed.Load() {
 		return
 	}
 	// A queued job past its deadline fails without burning an engine run.
 	if !j.deadline.IsZero() && s.now().After(j.deadline) {
-		s.finalize(j, recFailed, nil, func(now time.Time) {
+		s.finalize(j, recFailed, func(now time.Time) {
 			j.finish(now, nil, nil, errDeadline, false, false)
 		})
 		s.count("stencilserve_jobs_deadline_total")
@@ -522,7 +440,7 @@ func (s *Server) execute(j *Job) {
 	// engine run at all. Correct because Hash determines the result bytes.
 	if e, ok := s.results.Get(j.Hash); ok {
 		lap.lap("cache-lookup", "result-hit")
-		s.finalize(j, recCompleted, nil, func(now time.Time) {
+		s.finalize(j, recCompleted, func(now time.Time) {
 			j.finish(now, e.result, e.events, nil, true, false)
 		})
 		s.count("stencilserve_jobs_completed_total", telemetry.Label{Key: "cache", Value: "result"})
@@ -574,7 +492,7 @@ func (s *Server) execute(j *Job) {
 			// The engine honored the deadline: the job fails (never
 			// cancelled — nobody asked for it), partial bytes are never
 			// cached.
-			s.finalize(j, recFailed, nil, func(now time.Time) {
+			s.finalize(j, recFailed, func(now time.Time) {
 				j.finish(now, nil, nil, errDeadline, false, usedSetup)
 			})
 			s.count("stencilserve_jobs_deadline_total")
@@ -583,14 +501,14 @@ func (s *Server) execute(j *Job) {
 		// The engine honored a mid-run /cancel: the job ends cancelled (not
 		// failed), its partial bytes are never cached, and this worker is
 		// immediately free for the next job.
-		s.finalize(j, recCancelled, nil, func(now time.Time) {
+		s.finalize(j, recCancelled, func(now time.Time) {
 			j.finishCancelled(now)
 		})
 		s.count("stencilserve_jobs_cancelled_total")
 		return
 	}
 	if err != nil {
-		s.finalize(j, recFailed, nil, func(now time.Time) {
+		s.finalize(j, recFailed, func(now time.Time) {
 			j.finish(now, nil, nil, err, false, usedSetup)
 		})
 		s.count("stencilserve_jobs_failed_total")
@@ -601,19 +519,11 @@ func (s *Server) execute(j *Job) {
 	// be written, the result bytes are already durable, so recovery never
 	// trusts a completed record whose payload is missing. A spill failure is
 	// not fatal — the entry just will not survive a restart.
-	var storedTotal *int64
 	if s.store != nil {
-		if n, serr := s.store.putResult(j.Hash, resultEntry{result: out.result, events: out.events}, j.Tenant, out.virtualSeconds); serr == nil {
-			s.quotas.addStored(j.Tenant, n, s.now())
-		}
+		s.store.putResult(j.Hash, resultEntry{result: out.result, events: out.events}, out.virtualSeconds)
 		if !usedSetup && out.assignments != nil {
 			s.store.putSetup(j.SetupHash, out.assignments, s.now().Sub(setupStart).Seconds())
 		}
-		// Piggyback the tenant's post-spill stored total onto the completed
-		// record, so quota accounting survives a restart even when the store
-		// scan undercounts (a spill lost to a torn write or eviction).
-		_, st, _ := s.quotas.snapshot(j.Tenant, s.now())
-		storedTotal = &st
 	}
 	s.results.Put(j.Hash, resultEntry{result: out.result, events: out.events}, out.virtualSeconds)
 	if !usedSetup && out.assignments != nil {
@@ -624,7 +534,7 @@ func (s *Server) execute(j *Job) {
 	if usedSetup {
 		label = "setup"
 	}
-	s.finalize(j, recCompleted, storedTotal, func(now time.Time) {
+	s.finalize(j, recCompleted, func(now time.Time) {
 		j.finish(now, out.result, out.events, nil, false, usedSetup)
 	})
 	s.count("stencilserve_jobs_completed_total", telemetry.Label{Key: "cache", Value: label})
@@ -633,43 +543,6 @@ func (s *Server) execute(j *Job) {
 // errDeadline marks a job preempted (or never started) because its
 // wall-clock deadline passed.
 var errDeadline = errors.New("serve: deadline exceeded")
-
-// retryOrFail handles a worker death (a panic out of the engine): the job is
-// requeued with exponential backoff up to Config.RetryLimit attempts, then
-// failed. The worker itself survives — the panic is recovered in execute —
-// so the pool never shrinks.
-func (s *Server) retryOrFail(j *Job, panicVal any) {
-	if s.killed.Load() {
-		return
-	}
-	s.count("stencilserve_jobs_retried_total")
-	attempts := j.status(false).Attempts
-	if attempts > s.cfg.RetryLimit {
-		s.finalize(j, recFailed, nil, func(now time.Time) {
-			j.finish(now, nil, nil, fmt.Errorf("serve: worker died after %d attempts: %v", attempts, panicVal), false, false)
-		})
-		s.count("stencilserve_jobs_failed_total")
-		return
-	}
-	if !j.requeue() {
-		// A racing cancel or kill already finalized the job.
-		s.quotas.release(j.Tenant, s.now())
-		return
-	}
-	backoff := s.cfg.RetryBackoff << (attempts - 1)
-	time.AfterFunc(backoff, func() {
-		if s.killed.Load() {
-			return
-		}
-		if err := s.queue.forcePush(j); err != nil {
-			// Draining: the retry lost its window.
-			s.finalize(j, recFailed, nil, func(now time.Time) {
-				j.finish(now, nil, nil, fmt.Errorf("serve: retry abandoned: %w", err), false, false)
-			})
-			s.count("stencilserve_jobs_failed_total")
-		}
-	})
-}
 
 // count bumps a server counter under the recorder mutex.
 func (s *Server) count(name string, labels ...telemetry.Label) {
@@ -918,7 +791,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.tel.Gauge("stencilserve_setup_cache_evictions").Set(float64(setE))
 	s.tel.Gauge("stencilserve_result_cache_entries").Set(float64(s.results.Len()))
 	s.tel.Gauge("stencilserve_setup_cache_entries").Set(float64(s.setups.Len()))
-	s.tel.Gauge("stencilserve_stored_bytes").Set(float64(s.quotas.storedBytesTotal()))
 	if s.journal != nil {
 		js := s.journal.stats()
 		s.tel.Gauge("stencilserve_journal_records").Set(float64(js.Records))
@@ -948,7 +820,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // including while draining — a draining server is alive, just not ready.
 // Orchestrators restart on failed liveness and de-route on failed readiness;
 // conflating them would turn every graceful drain into a kill. The mode
-// (ok, degraded, draining) rides along for humans.
+// (ok, draining) rides along for humans.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	draining := s.draining
@@ -956,15 +828,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	mode := "ok"
 	if draining {
 		mode = "draining"
-	} else if d := s.degradeDepth(); d > 0 && s.queue.depth() >= d {
-		mode = "degraded"
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": mode})
 }
 
 // handleReadyz is the routing decision: 503 stops new traffic when draining
-// (or after a simulated kill). Degraded mode stays ready — cache hits still
-// serve, and de-routing the whole node would shed them too.
+// (or after a simulated kill).
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	draining := s.draining

@@ -32,7 +32,6 @@ const (
 type resultEnvelope struct {
 	Schema      string  `json:"schema"`
 	SpecHash    string  `json:"spec_hash"`
-	Tenant      string  `json:"tenant,omitempty"`
 	CostSeconds float64 `json:"cost_s"` // run virtual seconds (eviction weight)
 	ResultB64   string  `json:"result_b64"`
 	EventsB64   string  `json:"events_b64,omitempty"`
@@ -101,36 +100,16 @@ func (st *store) writeAtomic(path string, v any) error {
 	return os.Rename(tmp.Name(), path)
 }
 
-// putResult spills one result-cache entry and returns the stored-bytes
-// DELTA it produced: new size minus whatever a previous spill of the same
-// content-addressed hash already occupied. The delta — not the full size —
-// is the per-tenant accounting unit, so an evicted-then-recomputed result
-// re-spilled over its own file accrues zero, not double. (Two workers
-// racing the same hash could each observe the pre-write size and overcount
-// once; both then wrote identical bytes, and the next restart's disk scan
-// self-corrects the accounting.)
-func (st *store) putResult(hash string, e resultEntry, tenant string, cost float64) (int64, error) {
+// putResult spills one result-cache entry.
+func (st *store) putResult(hash string, e resultEntry, cost float64) error {
 	env := resultEnvelope{
 		Schema:      resultStoreSchema,
 		SpecHash:    hash,
-		Tenant:      tenant,
 		CostSeconds: cost,
 		ResultB64:   base64.StdEncoding.EncodeToString(e.result),
 		EventsB64:   base64.StdEncoding.EncodeToString(e.events),
 	}
-	path := filepath.Join(st.dir, resultsDirName, hash+".json")
-	var prev int64
-	if fi, err := os.Stat(path); err == nil {
-		prev = fi.Size()
-	}
-	if err := st.writeAtomic(path, &env); err != nil {
-		return 0, err
-	}
-	fi, err := os.Stat(path)
-	if err != nil {
-		return 0, err
-	}
-	return fi.Size() - prev, nil
+	return st.writeAtomic(filepath.Join(st.dir, resultsDirName, hash+".json"), &env)
 }
 
 // putSetup spills one setup-cache entry.
@@ -148,7 +127,7 @@ func (st *store) putSetup(hash string, assignments [][]int, cost float64) error 
 // cache rehydration) and returns how many files were skipped as corrupt or
 // foreign. Skipping is the only failure mode: a bad file costs a recompute.
 func (st *store) loadAll(
-	onResult func(hash string, e resultEntry, tenant string, cost float64, diskBytes int64),
+	onResult func(hash string, e resultEntry, cost float64),
 	onSetup func(hash string, assignments [][]int, cost float64),
 ) (skipped int, err error) {
 	dir := filepath.Join(st.dir, resultsDirName)
@@ -180,12 +159,7 @@ func (st *store) loadAll(
 			skipped++
 			continue
 		}
-		fi, serr := de.Info()
-		var size int64
-		if serr == nil {
-			size = fi.Size()
-		}
-		onResult(env.SpecHash, resultEntry{result: result, events: events}, env.Tenant, env.CostSeconds, size)
+		onResult(env.SpecHash, resultEntry{result: result, events: events}, env.CostSeconds)
 	}
 
 	dir = filepath.Join(st.dir, setupsDirName)
@@ -230,24 +204,4 @@ func (st *store) hasResult(hash string) bool {
 	}
 	_, err := os.Stat(filepath.Join(st.dir, resultsDirName, hash+".json"))
 	return err == nil
-}
-
-// getResult loads one spilled result entry (a completed journal record's
-// payload during recovery). ok=false means missing or undecodable — the
-// caller re-runs the job instead.
-func (st *store) getResult(hash string) (resultEntry, string, float64, bool) {
-	b, err := os.ReadFile(filepath.Join(st.dir, resultsDirName, hash+".json"))
-	if err != nil {
-		return resultEntry{}, "", 0, false
-	}
-	var env resultEnvelope
-	if json.Unmarshal(b, &env) != nil || env.Schema != resultStoreSchema || env.SpecHash != hash {
-		return resultEntry{}, "", 0, false
-	}
-	result, err1 := base64.StdEncoding.DecodeString(env.ResultB64)
-	events, err2 := base64.StdEncoding.DecodeString(env.EventsB64)
-	if err1 != nil || err2 != nil || len(result) == 0 {
-		return resultEntry{}, "", 0, false
-	}
-	return resultEntry{result: result, events: events}, env.Tenant, env.CostSeconds, true
 }
