@@ -3,10 +3,10 @@
 // single-precision quantities on a single rank driving two GPUs.
 //
 // By default it prints an ASCII Gantt chart of every simulated GPU operation
-// grouped by device and stream, plus overlap statistics. With -chrome FILE
-// it also writes Chrome trace-event JSON for chrome://tracing / Perfetto,
-// including per-link utilization counter tracks sampled by the telemetry
-// layer on every flow-network rebalance.
+// the telemetry recorder logged, grouped by device and stream, plus overlap
+// statistics. With -chrome FILE it also writes the recorder's Chrome
+// trace-event JSON for chrome://tracing / Perfetto, including per-link
+// utilization counter tracks sampled on every flow-network rebalance.
 package main
 
 import (
@@ -16,7 +16,6 @@ import (
 	"os"
 
 	stencil "github.com/nodeaware/stencil"
-	"github.com/nodeaware/stencil/internal/cudart"
 	"github.com/nodeaware/stencil/internal/machine"
 	"github.com/nodeaware/stencil/internal/trace"
 )
@@ -50,7 +49,6 @@ func run(args []string, out io.Writer) error {
 		Quantities:   4,
 		Capabilities: stencil.CapsAll(),
 		NodeConfig:   &nodeCfg,
-		TraceOps:     true,
 		Telemetry:    tel,
 	}
 	dd, err := stencil.New(cfg)
@@ -59,19 +57,7 @@ func run(args []string, out io.Writer) error {
 	}
 	stats := dd.Exchange(1)
 
-	ops := make([]cudart.OpRecord, 0, len(dd.Trace()))
-	for _, op := range dd.Trace() {
-		ops = append(ops, cudart.OpRecord{
-			Kind:   kindOf(op.Kind),
-			Name:   op.Name,
-			Device: op.Device,
-			Stream: op.Stream,
-			Start:  op.Start,
-			End:    op.End,
-			Bytes:  op.Bytes,
-		})
-	}
-	tl := trace.New(ops)
+	tl := trace.New(tel.Ops())
 	ts := tl.ComputeStats()
 
 	fmt.Fprintf(out, "one exchange: 1n/%dr/2g, %d^3 per GPU, 4 SP quantities\n", *ranks, *edge)
@@ -87,32 +73,21 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		var tracks []trace.CounterTrack
-		for _, tr := range tel.Tracks() {
-			if !tr.IsLink() {
-				continue
-			}
-			tracks = append(tracks, trace.CounterTrack{Name: tr.Name, Times: tr.Times, Values: tr.Values})
+		err = tel.WriteChromeTrace(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
-		if err := tl.WriteChromeTrace(f, tracks...); err != nil {
+		if err != nil {
 			return err
 		}
+		links := 0
+		for _, tr := range tel.Tracks() {
+			if tr.IsLink() {
+				links++
+			}
+		}
 		fmt.Fprintf(out, "\nChrome trace written to %s (%d link utilization counter tracks; open in chrome://tracing or ui.perfetto.dev)\n",
-			*chrome, len(tracks))
+			*chrome, links)
 	}
 	return nil
-}
-
-func kindOf(s string) cudart.OpKind {
-	switch s {
-	case "memcpyD2D":
-		return cudart.OpMemcpyD2D
-	case "memcpyD2H":
-		return cudart.OpMemcpyD2H
-	case "memcpyH2D":
-		return cudart.OpMemcpyH2D
-	default:
-		return cudart.OpKernel
-	}
 }

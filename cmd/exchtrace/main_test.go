@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -46,4 +47,45 @@ func TestRunChromeTrace(t *testing.T) {
 	if len(doc.TraceEvents) == 0 {
 		t.Error("chrome trace has no events")
 	}
+}
+
+// TestGoldens reruns the committed Fig 9 report with the command documented
+// in results/README.md and requires the text report and the Chrome trace
+// byte for byte; only the last report line, which names the trace file's
+// path, may differ. Regenerate both deliberately with:
+//
+//	exchtrace -edge 64 -width 100 -chrome results/exchtrace-64.json > results/exchtrace-64.txt
+func TestGoldens(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	var buf bytes.Buffer
+	if err := run([]string{"-edge", "64", "-width", "100", "-chrome", path}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	wantText, err := os.ReadFile(filepath.Join("..", "..", "results", "exchtrace-64.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := dropLastLine(buf.Bytes()), dropLastLine(wantText); !bytes.Equal(got, want) {
+		t.Errorf("results/exchtrace-64.txt differs from a fresh run (%d vs %d bytes before the last line)", len(want), len(got))
+	}
+	gotJSON, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, err := os.ReadFile(filepath.Join("..", "..", "results", "exchtrace-64.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Errorf("results/exchtrace-64.json differs from a fresh run (%d vs %d bytes)", len(wantJSON), len(gotJSON))
+	}
+}
+
+// dropLastLine strips the final newline-terminated line.
+func dropLastLine(b []byte) []byte {
+	b = bytes.TrimSuffix(b, []byte("\n"))
+	if i := bytes.LastIndexByte(b, '\n'); i >= 0 {
+		return b[:i+1]
+	}
+	return nil
 }

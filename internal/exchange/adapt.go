@@ -197,7 +197,6 @@ func (e *Exchanger) switchMethod(pl *Plan, to Method, reason string) {
 
 func (e *Exchanger) logAdapt(r AdaptRecord) {
 	e.AdaptLog = append(e.AdaptLog, r)
-	e.Eng.Tracef("adapt: %s", r)
 	tel := e.Opts.Telemetry
 	if tel == nil {
 		return

@@ -38,7 +38,6 @@ func runDeterministic(t *testing.T, workers int, caps Capabilities, cudaAware bo
 		RealData:     true,
 		Workers:      workers,
 		Adaptive:     true,
-		TraceOps:     true,
 		Fault: (&fault.Scenario{Name: "det"}).
 			KillNVLink(30e-6, 0, 0, 1, 60e-6).
 			DegradeNIC(50e-6, 1, 0.25),
@@ -47,9 +46,10 @@ func runDeterministic(t *testing.T, workers int, caps Capabilities, cudaAware bo
 	if err != nil {
 		t.Fatal(err)
 	}
+	ops := recordOps(e)
 	fillGlobal(e)
 	st := e.Run(4)
-	res := detResult{virt: e.Eng.Now(), iters: st.Iterations, trace: e.Trace}
+	res := detResult{virt: e.Eng.Now(), iters: st.Iterations, trace: *ops}
 	for _, s := range e.Subs {
 		res.fps = append(res.fps, s.Dom.Fingerprint())
 	}

@@ -231,9 +231,6 @@ type Options struct {
 	// exact; positive values are used directly.
 	FairnessHorizon int
 
-	// TraceOps records every CUDA op for Fig 9-style timelines.
-	TraceOps bool
-
 	// Workers sets the number of goroutines executing deferred payload work
 	// (real-data byte copies and pack/unpack commits) between virtual-time
 	// barriers. 0 or 1 keeps the engine fully sequential. Results are
@@ -357,9 +354,6 @@ type Exchanger struct {
 	// cancellation; every rank observes it at the next loop-top barrier and
 	// exits uniformly.
 	stopped bool
-
-	// Trace is populated when Opts.TraceOps is set.
-	Trace []cudart.OpRecord
 
 	// Faults is the installed injector when Opts.Fault is set (its Log is
 	// the applied-fault timeline).
@@ -623,14 +617,9 @@ func New(opts Options) (*Exchanger, error) {
 		overlapStates: make(map[int]*overlapIterState),
 	}
 	e.dirs = neighborhoods[opts.Neighborhood]()
-	if opts.TraceOps || tel != nil {
+	if tel != nil {
 		rt.OnOp = func(r cudart.OpRecord) {
-			if opts.TraceOps {
-				e.Trace = append(e.Trace, r)
-			}
-			if tel != nil {
-				tel.RecordOp(r.Kind.String(), r.Name, r.Device, r.Stream, r.Start, r.End, r.Bytes)
-			}
+			tel.RecordOp(r.Kind.String(), r.Name, r.Device, r.Stream, r.Start, r.End, r.Bytes)
 		}
 	}
 

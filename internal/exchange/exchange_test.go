@@ -412,20 +412,19 @@ func TestConfigStrings(t *testing.T) {
 }
 
 func TestTraceCollection(t *testing.T) {
-	opts := smallOpts(2, CapsAll(), false)
-	opts.TraceOps = true
-	e, err := New(opts)
+	e, err := New(smallOpts(2, CapsAll(), false))
 	if err != nil {
 		t.Fatal(err)
 	}
+	ops := recordOps(e)
 	fillGlobal(e)
 	e.Run(1)
-	if len(e.Trace) == 0 {
+	if len(*ops) == 0 {
 		t.Fatal("no ops traced")
 	}
 	// Trace must contain kernels and at least one copy.
 	kinds := make(map[string]bool)
-	for _, r := range e.Trace {
+	for _, r := range *ops {
 		kinds[r.Kind.String()] = true
 		if r.End < r.Start {
 			t.Errorf("op %s ends before start", r.Name)

@@ -8,7 +8,6 @@ import (
 	"github.com/nodeaware/stencil/internal/part"
 	"github.com/nodeaware/stencil/internal/sim"
 	"github.com/nodeaware/stencil/internal/telemetry"
-	"github.com/nodeaware/stencil/internal/trace"
 )
 
 // ledgerOpts is a small configuration with enough features on that every
@@ -30,7 +29,6 @@ func ledgerOpts(workers int) Options {
 		VerifyExchange:  true,
 		CheckpointEvery: 2,
 		Adaptive:        true,
-		TraceOps:        true,
 	}
 }
 
@@ -40,7 +38,7 @@ type ledgerOutputs struct {
 	prom     []byte // Prometheus exposition text
 	json     []byte // full Snapshot JSON
 	events   []byte // NDJSON event log
-	perfetto []byte // Chrome trace-event JSON of the op trace
+	perfetto []byte // Chrome trace-event JSON of the op timeline and link tracks
 	ledger   []telemetry.LedgerEntry
 }
 
@@ -73,7 +71,7 @@ func runLedgered(t *testing.T, workers int) ledgerOutputs {
 	}
 	out.events = append([]byte(nil), buf.Bytes()...)
 	buf.Reset()
-	if err := trace.New(e.Trace).WriteChromeTrace(&buf); err != nil {
+	if err := tel.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out.perfetto = append([]byte(nil), buf.Bytes()...)
@@ -115,7 +113,13 @@ func TestLedgerExportByteIdentity(t *testing.T) {
 		}
 	}
 
-	// The run must actually have fed the ledger, or identity is vacuous.
+	// The run must actually have fed the ledger and the trace, or identity
+	// is vacuous.
+	for _, ph := range []string{`"ph":"X"`, `"ph":"C"`} {
+		if !bytes.Contains(ref.perfetto, []byte(ph)) {
+			t.Errorf("Perfetto trace has no %s events", ph)
+		}
+	}
 	byFeat := make(map[telemetry.Feature]telemetry.LedgerEntry)
 	for _, e := range ref.ledger {
 		byFeat[e.Feature] = e
@@ -140,7 +144,6 @@ func TestLedgerExportByteIdentity(t *testing.T) {
 func TestLedgerPassive(t *testing.T) {
 	run := func(withTel bool) (sim.Time, []sim.Time) {
 		opts := ledgerOpts(0)
-		opts.TraceOps = false
 		if withTel {
 			opts.Telemetry = telemetry.New()
 		}

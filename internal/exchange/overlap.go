@@ -242,10 +242,7 @@ func (e *Exchanger) pollPreempt() {
 	if e.stopped || e.Opts.Preempt == nil {
 		return
 	}
-	if e.Opts.Preempt() {
-		e.stopped = true
-		e.Eng.Tracef("run: preempt requested; stopping at the next iteration boundary")
-	}
+	e.stopped = e.Opts.Preempt()
 }
 
 // Preempted reports whether a run was stopped early by Options.Preempt.

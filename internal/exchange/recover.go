@@ -97,7 +97,6 @@ func (rc *recovery) record(kind, format string, args ...any) {
 	e := rc.e
 	rec := RecoveryRecord{At: e.Eng.Now(), Kind: kind, Desc: fmt.Sprintf(format, args...)}
 	e.RecoveryLog = append(e.RecoveryLog, rec)
-	e.Eng.Tracef("recover: %s", rec.Desc)
 	if tel := e.Opts.Telemetry; tel != nil {
 		tel.Event(rec.At, "recovery", telemetry.F("action", kind), telemetry.F("desc", rec.Desc))
 	}

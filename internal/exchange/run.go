@@ -55,9 +55,9 @@ func (m *planMachine) Handle() {
 // stepDriver drives a rank's state machines of one iteration to completion
 // with a ready queue: each waiting machine is queued when its signal fires,
 // and the rank process parks on one reusable Gate instead of re-registering
-// with every outstanding signal per wake (a WaitAny loop is quadratic in the
-// number of in-flight transfers). led is the iteration's overlap ledger, nil
-// in barrier mode and for verifier re-exchanges.
+// with every outstanding signal per wake (a wait-for-any loop is quadratic
+// in the number of in-flight transfers). led is the iteration's overlap
+// ledger, nil in barrier mode and for verifier re-exchanges.
 type stepDriver struct {
 	e       *Exchanger
 	iter    int

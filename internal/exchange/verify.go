@@ -152,7 +152,6 @@ func (e *Exchanger) verifyRounds(p *sim.Proc, iter int, find func() []*Plan) {
 				v.forceRepair(pl)
 				v.forced++
 			}
-			e.Eng.Tracef("verify: iter %d round %d: %d quadrants repaired out-of-band", iter, round, len(bad))
 			if tel != nil {
 				tel.VerifyRound(now, iter, round, len(bad), true)
 			}
@@ -161,7 +160,6 @@ func (e *Exchanger) verifyRounds(p *sim.Proc, iter int, find func() []*Plan) {
 		if tel != nil {
 			tel.VerifyRound(now, iter, round, len(bad), false)
 		}
-		e.Eng.Tracef("verify: iter %d round %d: re-exchanging %d quadrants", iter, round, len(bad))
 		// Selective re-exchange through the ordinary plan machinery under a
 		// fresh iteration key: group rendezvous state must not collide with
 		// real iterations, and no key this high has an overlap ledger, so

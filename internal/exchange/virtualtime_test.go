@@ -204,12 +204,11 @@ func TestVirtualTimePinnedPaths(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			o := c.opts
-			o.TraceOps = true
-			e, err := New(o)
+			e, err := New(c.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
+			ops := recordOps(e)
 			if c.opts.RealData {
 				fillGlobal(e)
 			}
@@ -231,11 +230,19 @@ func TestVirtualTimePinnedPaths(t *testing.T) {
 						i, v, b, math.Float64frombits(c.want[i]), c.want[i])
 				}
 			}
-			if h := opTimelineHash(e.Trace); h != c.ops {
-				t.Errorf("op timeline of %d records hashes to %#x, want %#x", len(e.Trace), h, c.ops)
+			if h := opTimelineHash(*ops); h != c.ops {
+				t.Errorf("op timeline of %d records hashes to %#x, want %#x", len(*ops), h, c.ops)
 			}
 		})
 	}
+}
+
+// recordOps collects every completed op of e's runtime, in completion
+// order. Call it right after New: it replaces any telemetry op hook.
+func recordOps(e *Exchanger) *[]cudart.OpRecord {
+	var ops []cudart.OpRecord
+	e.RT.OnOp = func(r cudart.OpRecord) { ops = append(ops, r) }
+	return &ops
 }
 
 // opTimelineHash is an FNV-1a hash over every op record in order.

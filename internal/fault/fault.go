@@ -601,7 +601,6 @@ func (inj *Injector) links(tg Target) []*flownet.Link {
 func (inj *Injector) record(kind Kind, format string, args ...any) {
 	rec := Record{At: inj.M.Eng.Now(), Kind: kind.String(), Desc: fmt.Sprintf(format, args...)}
 	inj.log = append(inj.log, rec)
-	inj.M.Eng.Tracef("fault: %s", rec.Desc)
 	if inj.OnRecord != nil {
 		inj.OnRecord(rec)
 	}

@@ -269,7 +269,7 @@ func (r *Request) Wait(p *sim.Proc) { r.done.Wait(p) }
 // Test reports whether the operation has completed (MPI_Test).
 func (r *Request) Test() bool { return r.done.Fired() }
 
-// Done exposes the completion signal (for WaitAny-style polling loops).
+// Done exposes the completion signal.
 func (r *Request) Done() *sim.Signal { return &r.done }
 
 // Waitall parks the process until every request completes (MPI_Waitall).

@@ -7,8 +7,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"github.com/nodeaware/stencil/internal/jobspec"
 )
 
 func TestCrashRestartChaos(t *testing.T) {
@@ -763,6 +768,98 @@ func TestRecoverLegacyQuotaJournal(t *testing.T) {
 	for _, gone := range []string{`"rec":"quota"`, `"tokens":`, `"tok_ts":`, `"stored":`} {
 		if bytes.Contains(compacted, []byte(gone)) {
 			t.Errorf("compacted journal still holds %s", gone)
+		}
+	}
+}
+
+// TestRestartKeepsFailureReasons: a failed job's error rides in its failed
+// journal record, so a restart restores each failed job with its own
+// message — a deadline that expired in the queue and a worker panic here.
+// A journal that predates the error field restores the fallback text.
+func TestRestartKeepsFailureReasons(t *testing.T) {
+	dir := t.TempDir()
+	s1, err := Open(Config{Workers: 1, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every clock read is an hour after the last, so a one-second deadline
+	// has always passed by the time a worker pops the job.
+	base := time.Now()
+	var hours atomic.Int64
+	s1.now = func() time.Time { return base.Add(time.Duration(hours.Add(1)) * time.Hour) }
+	s1.runFn = func(*jobspec.Spec, string, [][]int, func() bool, *lapClock) (*runOutcome, error) {
+		panic("injected panic")
+	}
+	late := tinySpec()
+	late.DeadlineSeconds = 1
+	bad := tinySpec()
+	bad.Iters = 3
+	want := map[string]string{}
+	for _, sp := range []*jobspec.Spec{late, bad} {
+		j, err := s1.Submit("t", sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := j.Wait(); st != StateFailed {
+			t.Fatalf("job %s ended %q, want failed", j.ID, st)
+		}
+		want[j.ID] = j.status(false).Error
+	}
+	s1.Drain()
+	if len(want) != 2 || want["j000001"] != errDeadline.Error() || want["j000002"] != "serve: worker died: injected panic" {
+		t.Fatalf("failure reasons before the restart: %v", want)
+	}
+
+	reasons := func() map[string]string {
+		s, err := Open(Config{Workers: 1, DataDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Drain()
+		got := map[string]string{}
+		for id := range want {
+			j, ok := s.Job(id)
+			if !ok {
+				t.Fatalf("job %s lost in recovery", id)
+			}
+			st := j.status(false)
+			if st.State != StateFailed {
+				t.Fatalf("job %s restored as %q, want failed", id, st.State)
+			}
+			got[id] = st.Error
+		}
+		return got
+	}
+	if got := reasons(); !reflect.DeepEqual(got, want) {
+		t.Errorf("restored failure reasons %v, want %v", got, want)
+	}
+
+	// Strip the error field, as a journal from before it was written.
+	path := filepath.Join(dir, JournalName)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []byte
+	for _, line := range bytes.SplitAfter(raw, []byte("\n")) {
+		var r journalRecord
+		if len(bytes.TrimSpace(line)) == 0 || json.Unmarshal(line, &r) != nil || r.Error == "" {
+			out = append(out, line...)
+			continue
+		}
+		r.Error = ""
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(append(out, b...), '\n')
+	}
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for id, msg := range reasons() {
+		if msg != orUnknown("") {
+			t.Errorf("job %s from a journal without errors restored %q, want the fallback", id, msg)
 		}
 	}
 }

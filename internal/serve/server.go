@@ -395,11 +395,15 @@ func (s *Server) worker() {
 
 // finalize applies a terminal transition with its journal record — every
 // completion path funnels through here so no exit leaves a job without its
-// terminal journal state.
+// terminal journal state. A failed record carries the job's error, so a
+// restart restores the reason along with the state.
 func (s *Server) finalize(j *Job, rec string, apply func(now time.Time)) {
 	now := s.now()
 	apply(now)
-	s.journalAppend(journalRecord{Rec: rec, Job: j.ID, SpecHash: j.Hash, Tenant: j.Tenant, UnixNano: now.UnixNano()})
+	j.mu.Lock()
+	msg := j.err
+	j.mu.Unlock()
+	s.journalAppend(journalRecord{Rec: rec, Job: j.ID, SpecHash: j.Hash, Tenant: j.Tenant, Error: msg, UnixNano: now.UnixNano()})
 }
 
 // execute runs one job through the cache layers and the engine. Every phase

@@ -3,9 +3,10 @@ package serve
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"io"
 	"time"
+
+	"github.com/nodeaware/stencil/internal/telemetry"
 )
 
 // TraceSchema identifies the /v1/jobs/{id}/trace document layout.
@@ -49,30 +50,20 @@ type JobTrace struct {
 // events, microsecond timestamps relative to the first span), loadable in
 // chrome://tracing or https://ui.perfetto.dev.
 func (t *JobTrace) WritePerfetto(w io.Writer) error {
-	type chromeEvent struct {
-		Name  string         `json:"name"`
-		Cat   string         `json:"cat"`
-		Phase string         `json:"ph"`
-		TS    float64        `json:"ts"`
-		Dur   float64        `json:"dur"`
-		PID   int            `json:"pid"`
-		TID   string         `json:"tid"`
-		Args  map[string]any `json:"args,omitempty"`
-	}
 	var origin time.Time
 	for _, s := range t.Spans {
 		if origin.IsZero() || s.Start.Before(origin) {
 			origin = s.Start
 		}
 	}
-	events := []chromeEvent{{
+	events := []telemetry.TraceEvent{{
 		Name:  "process_name",
 		Phase: "M",
 		PID:   1,
 		Args:  map[string]any{"name": "stencilserve " + t.Job},
 	}}
 	for _, s := range t.Spans {
-		ev := chromeEvent{
+		ev := telemetry.TraceEvent{
 			Name:  s.Name,
 			Cat:   "serve",
 			Phase: "X",
@@ -86,7 +77,7 @@ func (t *JobTrace) WritePerfetto(w io.Writer) error {
 		}
 		events = append(events, ev)
 	}
-	return json.NewEncoder(w).Encode(map[string]any{"traceEvents": events})
+	return telemetry.WriteTraceEvents(w, events)
 }
 
 // lapClock stamps successive wall-clock phases of a run onto a span sink.

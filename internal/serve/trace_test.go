@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 // spanNames projects a trace's spans to their names, in order.
@@ -176,5 +178,32 @@ func TestMetricsHistogramsAndRuntime(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("metrics missing %q:\n%s", want, body)
 		}
+	}
+}
+
+// TestTracePerfettoBytes pins the exact Chrome trace-event bytes for fixed
+// span times: timestamps are microseconds from the earliest span start, the
+// detail rides in args only when set, and the process metadata event
+// comes first.
+func TestTracePerfettoBytes(t *testing.T) {
+	t0 := time.Date(2024, 1, 2, 3, 4, 5, 0, time.UTC)
+	at := func(us int) time.Time { return t0.Add(time.Duration(us) * time.Microsecond) }
+	tr := JobTrace{
+		Schema:  TraceSchema,
+		TraceID: "0123456789abcdef",
+		Job:     "j000042",
+		Spans: []TraceSpan{
+			{Name: "queue-wait", Start: at(0), End: at(1500)},
+			{Name: "cache-lookup", Detail: "setup-hit", Start: at(1500), End: at(1502)},
+			{Name: "engine-run", Start: at(1502), End: at(250001).Add(250 * time.Nanosecond)},
+		},
+	}
+	var buf bytes.Buffer
+	if err := tr.WritePerfetto(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"traceEvents":[{"name":"process_name","cat":"","ph":"M","ts":0,"dur":0,"pid":1,"tid":"","args":{"name":"stencilserve j000042"}},{"name":"queue-wait","cat":"serve","ph":"X","ts":0,"dur":1500,"pid":1,"tid":"0123456789abcdef"},{"name":"cache-lookup","cat":"serve","ph":"X","ts":1500,"dur":2,"pid":1,"tid":"0123456789abcdef","args":{"detail":"setup-hit"}},{"name":"engine-run","cat":"serve","ph":"X","ts":1502,"dur":248499.25,"pid":1,"tid":"0123456789abcdef"}]}` + "\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("perfetto bytes changed:\n got %s\nwant %s", got, want)
 	}
 }

@@ -105,20 +105,6 @@ func TestCancelRescheduleProperty(t *testing.T) {
 	}
 }
 
-func TestTracef(t *testing.T) {
-	e := NewEngine()
-	var lines []string
-	e.SetTrace(func(tm Time, msg string) { lines = append(lines, msg) })
-	e.At(1, func() { e.Tracef("hello %d", 42) })
-	e.Run()
-	if len(lines) != 1 || lines[0] != "hello 42" {
-		t.Errorf("trace = %v", lines)
-	}
-	// Disabled trace is a no-op.
-	e2 := NewEngine()
-	e2.Tracef("ignored")
-}
-
 func TestRunReentryPanics(t *testing.T) {
 	e := NewEngine()
 	e.At(1, func() {

@@ -225,7 +225,6 @@ type Engine struct {
 	nprocs   int      // live (spawned, not yet exited) processes
 	waiting  int      // continuations parked in a signal's waiters or a resource queue
 	freeEv   []*Event // fired engine-owned events, reused by SleepThen and AfterHandler
-	trace    func(t Time, msg string)
 
 	// Flushers run after all work at the current instant has drained, just
 	// before the clock advances (or Run returns). Subsystems that batch
@@ -261,18 +260,6 @@ func NewEngine() *Engine {
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
-
-// SetTrace installs a debug trace hook invoked by Tracef. A nil hook disables
-// tracing.
-func (e *Engine) SetTrace(fn func(t Time, msg string)) { e.trace = fn }
-
-// Tracef emits a formatted trace line at the current virtual time if a trace
-// hook is installed.
-func (e *Engine) Tracef(format string, args ...any) {
-	if e.trace != nil {
-		e.trace(e.now, fmt.Sprintf(format, args...))
-	}
-}
 
 // AddFlusher registers fn to run at the end of every virtual instant that
 // requested a flush (RequestFlush): after all events and processes at the
@@ -548,12 +535,5 @@ func (p *Proc) Sleep(d Time) {
 		p.sleepEv = &Event{eng: e, index: -1, h: (*procWaiter)(p)}
 	}
 	e.Reschedule(p.sleepEv, d)
-	p.park()
-}
-
-// Yield reschedules the process behind other currently-runnable processes
-// without advancing time.
-func (p *Proc) Yield() {
-	p.eng.makeRunnable(p)
 	p.park()
 }

@@ -221,41 +221,6 @@ func TestWaitAll(t *testing.T) {
 	}
 }
 
-func TestWaitAnyFirstWins(t *testing.T) {
-	e := NewEngine()
-	a := NewSignal(e, "a")
-	b := NewSignal(e, "b")
-	var woke Time
-	var idx int
-	e.Spawn("w", func(p *Proc) {
-		idx = WaitAny(p, a, b)
-		woke = p.Now()
-	})
-	e.At(2, func() { b.Fire() })
-	e.At(9, func() { a.Fire() })
-	e.Run()
-	if woke != 2 || idx != 1 {
-		t.Errorf("WaitAny woke at %g idx %d, want 2, 1", woke, idx)
-	}
-}
-
-func TestWaitAnyAlreadyFired(t *testing.T) {
-	e := NewEngine()
-	a := NewSignal(e, "a")
-	b := NewSignal(e, "b")
-	var idx int
-	e.At(1, func() { a.Fire() })
-	e.Spawn("w", func(p *Proc) {
-		p.Sleep(2)
-		idx = WaitAny(p, a, b)
-	})
-	// b never fires; a already fired so WaitAny must not block.
-	e.Run()
-	if idx != 0 {
-		t.Errorf("idx = %d, want 0", idx)
-	}
-}
-
 func TestResourceSerializes(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "engine", 1)
@@ -320,23 +285,6 @@ func TestResourceFIFO(t *testing.T) {
 	}
 }
 
-func TestResourceUse(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, "r", 1)
-	e.Spawn("u", func(p *Proc) {
-		r.Use(p, func() {
-			if r.InUse() != 1 {
-				t.Errorf("InUse inside Use = %d, want 1", r.InUse())
-			}
-			p.Sleep(1)
-		})
-		if r.InUse() != 0 {
-			t.Errorf("InUse after Use = %d, want 0", r.InUse())
-		}
-	})
-	e.Run()
-}
-
 func TestReleaseIdlePanics(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "r", 1)
@@ -358,26 +306,6 @@ func TestDeadlockDetected(t *testing.T) {
 		}
 	}()
 	e.Run()
-}
-
-func TestYield(t *testing.T) {
-	e := NewEngine()
-	var order []string
-	e.Spawn("a", func(p *Proc) {
-		order = append(order, "a1")
-		p.Yield()
-		order = append(order, "a2")
-	})
-	e.Spawn("b", func(p *Proc) {
-		order = append(order, "b1")
-	})
-	e.Run()
-	want := []string{"a1", "b1", "a2"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
 }
 
 // Property: N events scheduled at random times fire in nondecreasing time

@@ -165,49 +165,6 @@ func WaitAll(p *Proc, sigs ...*Signal) {
 	}
 }
 
-// WaitAny parks the process until at least one signal in sigs has fired and
-// returns the index of a fired signal (the lowest-indexed one at wake time).
-// It panics on an empty slice.
-func WaitAny(p *Proc, sigs ...*Signal) int {
-	if len(sigs) == 0 {
-		panic("sim: WaitAny with no signals")
-	}
-	for {
-		for i, s := range sigs {
-			if s.fired {
-				return i
-			}
-		}
-		// Register with all, wake on first fire. Registration is cheap and
-		// stale entries are cleaned lazily: a woken process re-checks and the
-		// remaining signals drop the proc when they fire (waking an already
-		// running process is prevented by the single-owner discipline: a
-		// process can only be parked in one place at a time, so we must
-		// de-register before returning).
-		w := &anyWaiter{p: p}
-		for _, s := range sigs {
-			if !s.fired {
-				s.addCallback(w)
-			}
-		}
-		p.park()
-	}
-}
-
-type anyWaiter struct {
-	p     *Proc
-	woken bool
-}
-
-// Handle wakes the process on the first fire only.
-func (w *anyWaiter) Handle() {
-	if w.woken {
-		return
-	}
-	w.woken = true
-	w.p.eng.makeRunnable(w.p)
-}
-
 // Gate is a reusable rendezvous between one owning process and event-context
 // callbacks: callbacks call Open, the owner calls Await. Unlike the one-shot
 // Signal, a Gate cycles: Await consumes the open state, so a driver loop can
@@ -309,14 +266,4 @@ func (r *Resource) Release() {
 		return // unit transferred, inUse unchanged
 	}
 	r.inUse--
-}
-
-// InUse returns the number of currently held units.
-func (r *Resource) InUse() int { return r.inUse }
-
-// Use runs fn while holding one unit of the resource.
-func (r *Resource) Use(p *Proc, fn func()) {
-	r.Acquire(p)
-	defer r.Release()
-	fn()
 }

@@ -187,6 +187,92 @@ func writeJSONValue(w *bufio.Writer, v any) error {
 	return err
 }
 
+// TraceEvent is one Chrome trace-event record ("X" complete, "C" counter or
+// "M" metadata; timestamps and durations in microseconds). A document of
+// them loads in chrome://tracing or https://ui.perfetto.dev.
+type TraceEvent struct {
+	Name  string         `json:"name"`
+	Cat   string         `json:"cat"`
+	Phase string         `json:"ph"`
+	TS    float64        `json:"ts"`
+	Dur   float64        `json:"dur"`
+	PID   int            `json:"pid"`
+	TID   string         `json:"tid"`
+	Args  map[string]any `json:"args,omitempty"`
+}
+
+// WriteTraceEvents writes events as one Chrome trace-event JSON document.
+func WriteTraceEvents(w io.Writer, events []TraceEvent) error {
+	return json.NewEncoder(w).Encode(struct {
+		TraceEvents []TraceEvent `json:"traceEvents"`
+	}{events})
+}
+
+// counterPID is the synthetic process id holding the link counter tracks,
+// far above any device id so Perfetto groups them in their own lane.
+const counterPID = 1000
+
+// WriteChromeTrace writes the op timeline as Chrome trace-event JSON: one
+// process per device, one thread per stream, an "X" event per op in
+// SortOps order, then a "C" counter event per sample of every link
+// utilization track. Timestamps count from the earliest op start or link
+// sample.
+func (r *Recorder) WriteChromeTrace(w io.Writer) error {
+	ops := r.Ops()
+	SortOps(ops)
+	var links []*Track
+	for _, tr := range r.Tracks() {
+		if tr.isLink {
+			links = append(links, tr)
+		}
+	}
+	var start float64
+	for i, op := range ops {
+		if i == 0 || op.Start < start {
+			start = op.Start
+		}
+	}
+	for _, tr := range links {
+		if tr.Times[0] < start {
+			start = tr.Times[0]
+		}
+	}
+	events := make([]TraceEvent, 0, len(ops))
+	for _, op := range ops {
+		events = append(events, TraceEvent{
+			Name:  op.Name,
+			Cat:   op.Kind,
+			Phase: "X",
+			TS:    (op.Start - start) * 1e6,
+			Dur:   (op.End - op.Start) * 1e6,
+			PID:   op.Device,
+			TID:   op.Stream,
+			Args:  map[string]any{"bytes": op.Bytes},
+		})
+	}
+	if len(links) > 0 {
+		events = append(events, TraceEvent{
+			Name:  "process_name",
+			Phase: "M",
+			PID:   counterPID,
+			Args:  map[string]any{"name": "link utilization"},
+		})
+	}
+	for _, tr := range links {
+		for i, t := range tr.Times {
+			events = append(events, TraceEvent{
+				Name:  tr.Name,
+				Cat:   "counter",
+				Phase: "C",
+				TS:    (t - start) * 1e6,
+				PID:   counterPID,
+				Args:  map[string]any{"value": tr.Values[i]},
+			})
+		}
+	}
+	return WriteTraceEvents(w, events)
+}
+
 // WritePrometheus writes every metric in the Prometheus text exposition
 // format. Series are grouped into metric families: each family name gets
 // exactly one # HELP and one # TYPE header regardless of how many labeled

@@ -390,7 +390,8 @@ func (r *Recorder) Rebalanced(t float64, links, flows, active int) {
 	r.Sample("flownet.active", t, float64(active))
 }
 
-// RecordOp ingests one completed CUDA op record.
+// RecordOp ingests one completed CUDA op record. Its "op" event is the only
+// store of the op timeline; Ops decodes it.
 func (r *Recorder) RecordOp(kind, name string, device int, stream string, start, end float64, bytes int64) {
 	r.AttributeEvent(FeatureBaseline)
 	kl := L("kind", kind)
@@ -400,6 +401,48 @@ func (r *Recorder) RecordOp(kind, name string, device int, stream string, start,
 	r.Event(end, "op",
 		F("name", name), F("op", kind), F("device", device), F("stream", stream),
 		F("start", start), F("end", end), F("bytes", bytes))
+}
+
+// Op is one completed CUDA op of the recorded timeline.
+type Op struct {
+	Kind, Name string
+	Device     int // global device id, -1 for host-side and wire ops
+	Stream     string
+	Start, End float64
+	Bytes      int64
+}
+
+// Ops returns the op timeline: every op event, in record order.
+func (r *Recorder) Ops() []Op {
+	var ops []Op
+	for i := range r.events {
+		e := &r.events[i]
+		if e.Kind != "op" {
+			continue
+		}
+		f := e.Fields // in RecordOp's order
+		ops = append(ops, Op{
+			Name: f[0].Value.(string), Kind: f[1].Value.(string), Device: f[2].Value.(int),
+			Stream: f[3].Value.(string), Start: f[4].Value.(float64), End: f[5].Value.(float64),
+			Bytes: f[6].Value.(int64),
+		})
+	}
+	return ops
+}
+
+// SortOps orders ops into timeline lanes: by device, then stream, then
+// start time.
+func SortOps(ops []Op) {
+	sort.SliceStable(ops, func(i, j int) bool {
+		a, b := ops[i], ops[j]
+		if a.Device != b.Device {
+			return a.Device < b.Device
+		}
+		if a.Stream != b.Stream {
+			return a.Stream < b.Stream
+		}
+		return a.Start < b.Start
+	})
 }
 
 // MPIRetry records one timed-out-and-aborted send attempt.

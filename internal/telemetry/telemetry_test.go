@@ -3,6 +3,8 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -238,5 +240,129 @@ func TestPrometheusFamilyGrouping(t *testing.T) {
 		if !strings.Contains(block, want) {
 			t.Fatalf("series %q not under its family header:\n%s", want, out)
 		}
+	}
+}
+
+// recordSampleOps feeds four ops on three streams of two devices, out of
+// lane order, plus one host-side staging copy.
+func recordSampleOps(r *Recorder) []Op {
+	ops := []Op{
+		{Kind: "kernel", Name: "pack", Device: 0, Stream: "d0.s1", Start: 0.001, End: 0.002, Bytes: 100},
+		{Kind: "memcpyD2D", Name: "cp", Device: 0, Stream: "d0.s1", Start: 0.002, End: 0.004, Bytes: 100},
+		{Kind: "kernel", Name: "unpack", Device: 1, Stream: "d1.s1", Start: 0.004, End: 0.005, Bytes: 100},
+		{Kind: "memcpyD2H", Name: "d2h", Device: 1, Stream: "d1.s2", Start: 0.001, End: 0.003, Bytes: 50},
+		{Kind: "memcpyH2H", Name: "stage", Device: -1, Stream: "host", Start: 0.003, End: 0.0035, Bytes: 50},
+	}
+	for _, op := range ops {
+		r.RecordOp(op.Kind, op.Name, op.Device, op.Stream, op.Start, op.End, op.Bytes)
+	}
+	return ops
+}
+
+// Ops returns exactly what RecordOp ingested, in record order, whatever
+// other events interleave.
+func TestOpsRoundTrip(t *testing.T) {
+	r := New()
+	r.Event(0, "fault", F("fault", "kill"))
+	want := recordSampleOps(r)
+	r.LinkSample(0.002, "n0.nic.out", 0.5, 1)
+	if got := r.Ops(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Ops() = %+v\nwant %+v", got, want)
+	}
+}
+
+func TestChromeTraceJSON(t *testing.T) {
+	r := New()
+	recordSampleOps(r)
+	var buf bytes.Buffer
+	if err := r.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name  string  `json:"name"`
+			Cat   string  `json:"cat"`
+			Phase string  `json:"ph"`
+			TS    float64 `json:"ts"`
+			Dur   float64 `json:"dur"`
+			PID   int     `json:"pid"`
+			TID   string  `json:"tid"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("invalid JSON: %v", err)
+	}
+	if len(doc.TraceEvents) != 5 {
+		t.Fatalf("events = %d, want 5", len(doc.TraceEvents))
+	}
+	var lanes []string
+	for _, ev := range doc.TraceEvents {
+		if ev.Phase != "X" || ev.Dur <= 0 {
+			t.Errorf("bad event %+v", ev)
+		}
+		lanes = append(lanes, fmt.Sprintf("%d/%s/%s/%s", ev.PID, ev.TID, ev.Name, ev.Cat))
+	}
+	// Events come in lane order (device, stream, start), and every op keeps
+	// its own kind as the category.
+	want := "-1/host/stage/memcpyH2H 0/d0.s1/pack/kernel 0/d0.s1/cp/memcpyD2D 1/d1.s1/unpack/kernel 1/d1.s2/d2h/memcpyD2H"
+	if got := strings.Join(lanes, " "); got != want {
+		t.Errorf("events %s\nwant   %s", got, want)
+	}
+	// Timestamps are rebased to the span start in microseconds.
+	if ts := doc.TraceEvents[1].TS; ts != 0 {
+		t.Errorf("earliest op ts = %g, want 0", ts)
+	}
+}
+
+func TestChromeTraceLinkCounters(t *testing.T) {
+	r := New()
+	recordSampleOps(r)
+	times := []float64{0.0005, 0.002, 0.004}
+	for i, util := range []float64{0, 0.8, 0.2} {
+		r.LinkSample(times[i], "n0.nic.out", util, 1)
+	}
+	r.Sample("flownet.active", 0.0001, 3) // not a link track: no counter
+	var buf bytes.Buffer
+	if err := r.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name  string         `json:"name"`
+			Phase string         `json:"ph"`
+			TS    float64        `json:"ts"`
+			PID   int            `json:"pid"`
+			Args  map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("invalid JSON: %v", err)
+	}
+	var counters, meta int
+	for _, ev := range doc.TraceEvents {
+		switch ev.Phase {
+		case "C":
+			counters++
+			if ev.Name != "n0.nic.out" || ev.PID != counterPID {
+				t.Errorf("bad counter event %+v", ev)
+			}
+			if _, ok := ev.Args["value"]; !ok {
+				t.Errorf("counter event missing value arg: %+v", ev)
+			}
+			// The first track sample predates the first op; the whole trace
+			// must rebase to it so no timestamp is negative.
+			if ev.TS < 0 {
+				t.Errorf("negative counter timestamp %g", ev.TS)
+			}
+		case "M":
+			meta++
+		case "X":
+			if ev.TS < 0 {
+				t.Errorf("negative op timestamp %g", ev.TS)
+			}
+		}
+	}
+	if counters != 3 || meta != 1 {
+		t.Fatalf("got %d counter events, %d metadata events; want 3, 1", counters, meta)
 	}
 }

@@ -1,38 +1,27 @@
-// Package trace turns recorded exchange operations into analyzable
-// timelines: per-stream lanes, overlap statistics (how much the §III-D
-// machinery actually parallelizes), an ASCII Gantt rendering, and Chrome
-// trace-event JSON for chrome://tracing / Perfetto.
+// Package trace turns a telemetry recorder's op timeline into an analyzable
+// form: per-stream lanes, overlap statistics (how much the §III-D machinery
+// actually parallelizes) and an ASCII Gantt rendering. The Chrome
+// trace-event export of the same timeline is telemetry's
+// (Recorder.WriteChromeTrace).
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
-	"github.com/nodeaware/stencil/internal/cudart"
+	"github.com/nodeaware/stencil/internal/telemetry"
 )
 
 // Timeline is an ordered set of operation spans.
 type Timeline struct {
-	Ops []cudart.OpRecord
+	Ops []telemetry.Op
 }
 
 // New builds a timeline from recorded ops, sorted by device, stream, start.
-func New(ops []cudart.OpRecord) *Timeline {
-	t := &Timeline{Ops: make([]cudart.OpRecord, len(ops))}
-	copy(t.Ops, ops)
-	sort.Slice(t.Ops, func(i, j int) bool {
-		a, b := t.Ops[i], t.Ops[j]
-		if a.Device != b.Device {
-			return a.Device < b.Device
-		}
-		if a.Stream != b.Stream {
-			return a.Stream < b.Stream
-		}
-		return a.Start < b.Start
-	})
+func New(ops []telemetry.Op) *Timeline {
+	t := &Timeline{Ops: append([]telemetry.Op(nil), ops...)}
+	telemetry.SortOps(t.Ops)
 	return t
 }
 
@@ -86,80 +75,6 @@ func (t *Timeline) ComputeStats() Stats {
 		s.Overlap = s.BusyTime / s.Span
 	}
 	return s
-}
-
-// chromeEvent is one Chrome trace-event ("X" complete events, microsecond
-// timestamps).
-type chromeEvent struct {
-	Name  string         `json:"name"`
-	Cat   string         `json:"cat"`
-	Phase string         `json:"ph"`
-	TS    float64        `json:"ts"`
-	Dur   float64        `json:"dur"`
-	PID   int            `json:"pid"`
-	TID   string         `json:"tid"`
-	Args  map[string]any `json:"args,omitempty"`
-}
-
-// CounterTrack is a step function of (virtual time, value) samples merged
-// into the Chrome trace as Perfetto counter events — typically per-link
-// utilization from a telemetry recorder's Tracks().
-type CounterTrack struct {
-	Name   string
-	Times  []float64 // seconds, ascending
-	Values []float64 // same length as Times
-}
-
-// counterPID is the synthetic process id holding all counter tracks, chosen
-// far above any real device id so Perfetto groups them in their own lane.
-const counterPID = 1000
-
-// WriteChromeTrace emits the timeline as Chrome trace-event JSON: one
-// process per device, one thread per stream, plus one "C" counter event per
-// sample of each optional counter track. Load the output in chrome://tracing
-// or https://ui.perfetto.dev.
-func (t *Timeline) WriteChromeTrace(w io.Writer, tracks ...CounterTrack) error {
-	start, _ := t.Span()
-	for _, tr := range tracks {
-		if len(tr.Times) > 0 && tr.Times[0] < start {
-			start = tr.Times[0]
-		}
-	}
-	events := make([]chromeEvent, 0, len(t.Ops))
-	for _, op := range t.Ops {
-		events = append(events, chromeEvent{
-			Name:  op.Name,
-			Cat:   op.Kind.String(),
-			Phase: "X",
-			TS:    (op.Start - start) * 1e6,
-			Dur:   (op.End - op.Start) * 1e6,
-			PID:   op.Device,
-			TID:   op.Stream,
-			Args:  map[string]any{"bytes": op.Bytes},
-		})
-	}
-	if len(tracks) > 0 {
-		events = append(events, chromeEvent{
-			Name:  "process_name",
-			Phase: "M",
-			PID:   counterPID,
-			Args:  map[string]any{"name": "link utilization"},
-		})
-		for _, tr := range tracks {
-			for i, ts := range tr.Times {
-				events = append(events, chromeEvent{
-					Name:  tr.Name,
-					Cat:   "counter",
-					Phase: "C",
-					TS:    (ts - start) * 1e6,
-					PID:   counterPID,
-					Args:  map[string]any{"value": tr.Values[i]},
-				})
-			}
-		}
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(map[string]any{"traceEvents": events})
 }
 
 // Glyphs maps op kinds to ASCII-chart glyphs. Every cudart.OpKind must have
@@ -228,7 +143,7 @@ func (t *Timeline) RenderASCII(w io.Writer, width int) {
 		if hi < lo {
 			hi = lo // zero-duration op still renders one glyph
 		}
-		g := Glyphs[op.Kind.String()]
+		g := Glyphs[op.Kind]
 		if g == 0 {
 			g = '?'
 		}
@@ -237,12 +152,5 @@ func (t *Timeline) RenderASCII(w io.Writer, width int) {
 		}
 	}
 	flush()
-	fmt.Fprintf(w, "%-24s  0%s%.3f ms\n", "time:", strings.Repeat(" ", maxInt(0, width-12)), span*1e3)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	fmt.Fprintf(w, "%-24s  0%s%.3f ms\n", "time:", strings.Repeat(" ", max(0, width-12)), span*1e3)
 }

@@ -2,19 +2,19 @@ package trace
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 
 	"github.com/nodeaware/stencil/internal/cudart"
+	"github.com/nodeaware/stencil/internal/telemetry"
 )
 
-func sampleOps() []cudart.OpRecord {
-	return []cudart.OpRecord{
-		{Kind: cudart.OpKernel, Name: "pack", Device: 0, Stream: "d0.s1", Start: 0.001, End: 0.002, Bytes: 100},
-		{Kind: cudart.OpMemcpyD2D, Name: "cp", Device: 0, Stream: "d0.s1", Start: 0.002, End: 0.004, Bytes: 100},
-		{Kind: cudart.OpKernel, Name: "unpack", Device: 1, Stream: "d1.s1", Start: 0.004, End: 0.005, Bytes: 100},
-		{Kind: cudart.OpMemcpyD2H, Name: "d2h", Device: 1, Stream: "d1.s2", Start: 0.001, End: 0.003, Bytes: 50},
+func sampleOps() []telemetry.Op {
+	return []telemetry.Op{
+		{Kind: "kernel", Name: "pack", Device: 0, Stream: "d0.s1", Start: 0.001, End: 0.002, Bytes: 100},
+		{Kind: "memcpyD2D", Name: "cp", Device: 0, Stream: "d0.s1", Start: 0.002, End: 0.004, Bytes: 100},
+		{Kind: "kernel", Name: "unpack", Device: 1, Stream: "d1.s1", Start: 0.004, End: 0.005, Bytes: 100},
+		{Kind: "memcpyD2H", Name: "d2h", Device: 1, Stream: "d1.s2", Start: 0.001, End: 0.003, Bytes: 50},
 	}
 }
 
@@ -65,40 +65,6 @@ func TestSortedByDeviceStream(t *testing.T) {
 	}
 }
 
-func TestChromeTraceJSON(t *testing.T) {
-	tl := New(sampleOps())
-	var buf bytes.Buffer
-	if err := tl.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name  string  `json:"name"`
-			Phase string  `json:"ph"`
-			TS    float64 `json:"ts"`
-			Dur   float64 `json:"dur"`
-			PID   int     `json:"pid"`
-			TID   string  `json:"tid"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if len(doc.TraceEvents) != 4 {
-		t.Fatalf("events = %d, want 4", len(doc.TraceEvents))
-	}
-	for _, ev := range doc.TraceEvents {
-		if ev.Phase != "X" || ev.Dur <= 0 {
-			t.Errorf("bad event %+v", ev)
-		}
-	}
-	// Timestamps are rebased to the span start in microseconds.
-	first := doc.TraceEvents[0]
-	if first.TS != 0 {
-		t.Errorf("first event ts = %g, want 0", first.TS)
-	}
-}
-
 // Every OpKind must render as a real glyph: a '?' in a Gantt chart means a
 // kind was added to cudart without a Glyphs entry (this happened with the
 // host-side staging copies, which rendered as '?' until OpMemcpyH2H got '=').
@@ -125,9 +91,9 @@ func TestGlyphsCoverAllOpKinds(t *testing.T) {
 // Protocol activity (retransmitted sends, verification re-exchanges) must be
 // visible in the Gantt rendering with its own glyphs.
 func TestRenderASCIIProtocolOps(t *testing.T) {
-	ops := []cudart.OpRecord{
-		{Kind: cudart.OpRetransmit, Name: "mpi.nic", Device: -1, Stream: "wire", Start: 0, End: 0.002, Bytes: 1 << 20},
-		{Kind: cudart.OpReExchange, Name: "verify", Device: -1, Stream: "verify", Start: 0.002, End: 0.003, Bytes: 1 << 18},
+	ops := []telemetry.Op{
+		{Kind: "retransmit", Name: "mpi.nic", Device: -1, Stream: "wire", Start: 0, End: 0.002, Bytes: 1 << 20},
+		{Kind: "reexchange", Name: "verify", Device: -1, Stream: "verify", Start: 0.002, End: 0.003, Bytes: 1 << 18},
 	}
 	var buf bytes.Buffer
 	New(ops).RenderASCII(&buf, 40)
@@ -158,9 +124,9 @@ func TestRenderASCII(t *testing.T) {
 // Two devices running streams with identical names must render as separate
 // lanes (rows are keyed by device AND stream, labels carry the device id).
 func TestRenderASCIIDuplicateStreamNames(t *testing.T) {
-	ops := []cudart.OpRecord{
-		{Kind: cudart.OpKernel, Name: "a", Device: 0, Stream: "send", Start: 0, End: 0.001},
-		{Kind: cudart.OpMemcpyD2D, Name: "b", Device: 1, Stream: "send", Start: 0, End: 0.001},
+	ops := []telemetry.Op{
+		{Kind: "kernel", Name: "a", Device: 0, Stream: "send", Start: 0, End: 0.001},
+		{Kind: "memcpyD2D", Name: "b", Device: 1, Stream: "send", Start: 0, End: 0.001},
 	}
 	var buf bytes.Buffer
 	New(ops).RenderASCII(&buf, 20)
@@ -191,9 +157,9 @@ func TestRenderASCIIWidthGuard(t *testing.T) {
 // A timeline where every op starts and ends at the same instant must render
 // without dividing by a zero span, and each op still shows one glyph.
 func TestRenderASCIISingleInstant(t *testing.T) {
-	ops := []cudart.OpRecord{
-		{Kind: cudart.OpKernel, Name: "a", Device: 0, Stream: "s", Start: 0.5, End: 0.5},
-		{Kind: cudart.OpMemcpyD2H, Name: "b", Device: 0, Stream: "t", Start: 0.5, End: 0.5},
+	ops := []telemetry.Op{
+		{Kind: "kernel", Name: "a", Device: 0, Stream: "s", Start: 0.5, End: 0.5},
+		{Kind: "memcpyD2H", Name: "b", Device: 0, Stream: "t", Start: 0.5, End: 0.5},
 	}
 	var buf bytes.Buffer
 	New(ops).RenderASCII(&buf, 30)
@@ -212,70 +178,18 @@ func TestRenderASCIIZeroSpanTimeline(t *testing.T) {
 }
 
 func TestComputeStatsSerialVsParallel(t *testing.T) {
-	serial := New([]cudart.OpRecord{
-		{Kind: cudart.OpKernel, Device: 0, Stream: "a", Start: 0, End: 1},
-		{Kind: cudart.OpKernel, Device: 0, Stream: "a", Start: 1, End: 2},
+	serial := New([]telemetry.Op{
+		{Kind: "kernel", Device: 0, Stream: "a", Start: 0, End: 1},
+		{Kind: "kernel", Device: 0, Stream: "a", Start: 1, End: 2},
 	})
 	if s := serial.ComputeStats(); s.Overlap != 1 {
 		t.Fatalf("fully serial overlap = %g, want 1", s.Overlap)
 	}
-	par := New([]cudart.OpRecord{
-		{Kind: cudart.OpKernel, Device: 0, Stream: "a", Start: 0, End: 1},
-		{Kind: cudart.OpKernel, Device: 1, Stream: "b", Start: 0, End: 1},
+	par := New([]telemetry.Op{
+		{Kind: "kernel", Device: 0, Stream: "a", Start: 0, End: 1},
+		{Kind: "kernel", Device: 1, Stream: "b", Start: 0, End: 1},
 	})
 	if s := par.ComputeStats(); s.Overlap != 2 {
 		t.Fatalf("fully parallel overlap = %g, want 2", s.Overlap)
-	}
-}
-
-func TestChromeTraceCounterTracks(t *testing.T) {
-	tl := New(sampleOps())
-	track := CounterTrack{
-		Name:   "n0.nic.out",
-		Times:  []float64{0.0005, 0.002, 0.004},
-		Values: []float64{0, 0.8, 0.2},
-	}
-	var buf bytes.Buffer
-	if err := tl.WriteChromeTrace(&buf, track); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name  string         `json:"name"`
-			Phase string         `json:"ph"`
-			TS    float64        `json:"ts"`
-			PID   int            `json:"pid"`
-			Args  map[string]any `json:"args"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	var counters, meta int
-	for _, ev := range doc.TraceEvents {
-		switch ev.Phase {
-		case "C":
-			counters++
-			if ev.Name != "n0.nic.out" || ev.PID != counterPID {
-				t.Errorf("bad counter event %+v", ev)
-			}
-			if _, ok := ev.Args["value"]; !ok {
-				t.Errorf("counter event missing value arg: %+v", ev)
-			}
-			// The first track sample predates the first op; the whole trace
-			// must rebase to it so no timestamp is negative.
-			if ev.TS < 0 {
-				t.Errorf("negative counter timestamp %g", ev.TS)
-			}
-		case "M":
-			meta++
-		case "X":
-			if ev.TS < 0 {
-				t.Errorf("negative op timestamp %g", ev.TS)
-			}
-		}
-	}
-	if counters != 3 || meta != 1 {
-		t.Fatalf("got %d counter events, %d metadata events; want 3, 1", counters, meta)
 	}
 }

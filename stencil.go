@@ -88,8 +88,9 @@ type RecoveryRecord = exchange.RecoveryRecord
 
 // Telemetry is a unified virtual-time observability recorder: counters,
 // gauges, histograms, per-link utilization tracks, hierarchical phase spans,
-// and a structured event log, all keyed by simulated time and exportable as
-// Prometheus text, a JSON snapshot, or NDJSON events (see internal/telemetry).
+// and a structured event log that includes every simulated GPU operation, all
+// keyed by simulated time and exportable as Prometheus text, a JSON snapshot,
+// NDJSON events, or a Chrome trace (see internal/telemetry).
 // Create one with NewTelemetry, attach it via Config.Telemetry, and read it
 // after the run. Attaching telemetry never changes simulated times.
 type Telemetry = telemetry.Recorder
@@ -189,9 +190,6 @@ type Config struct {
 	// uses this to share setup work across jobs that differ only in
 	// scenario or run length. Nil computes placement normally.
 	PresetPlacement [][]int
-
-	// TraceOps records a timeline of every simulated CUDA operation.
-	TraceOps bool
 
 	// Fault installs a deterministic fault/degradation scenario on the
 	// virtual clock; see FaultScenario. Nil disables injection.
@@ -341,29 +339,6 @@ func (dd *DistributedDomain) FaultLog() []FaultRecord {
 	return dd.ex.Faults.Log()
 }
 
-// Trace returns the recorded operation timeline (Config.TraceOps).
-func (dd *DistributedDomain) Trace() []TraceOp {
-	var out []TraceOp
-	for _, r := range dd.ex.Trace {
-		out = append(out, TraceOp{
-			Name: r.Name, Kind: r.Kind.String(), Device: r.Device,
-			Stream: r.Stream, Start: r.Start, End: r.End, Bytes: r.Bytes,
-		})
-	}
-	return out
-}
-
-// TraceOp is one simulated GPU operation in a recorded timeline.
-type TraceOp struct {
-	Name   string
-	Kind   string
-	Device int
-	Stream string
-	Start  float64
-	End    float64
-	Bytes  int64
-}
-
 // Subdomain exposes one GPU's block of the domain.
 type Subdomain struct {
 	// Origin and Size locate the subdomain's interior in global grid
@@ -455,7 +430,6 @@ func (cfg Config) options() exchange.Options {
 		NodeConfig:         cfg.NodeConfig,
 		Params:             cfg.Params,
 		PresetPlacement:    cfg.PresetPlacement,
-		TraceOps:           cfg.TraceOps,
 		Fault:              cfg.Fault,
 		Adaptive:           cfg.Adaptive,
 		AdaptPlacement:     cfg.AdaptPlacement,

@@ -270,13 +270,13 @@ func TestRealDataNeedsFourByteCells(t *testing.T) {
 
 func TestTraceExposed(t *testing.T) {
 	cfg := smallConfig()
-	cfg.TraceOps = true
+	cfg.Telemetry = NewTelemetry()
 	dd, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dd.Exchange(1)
-	tr := dd.Trace()
+	tr := cfg.Telemetry.Ops()
 	if len(tr) == 0 {
 		t.Fatal("no trace records")
 	}
