@@ -13,27 +13,34 @@ import (
 // every example and test was otherwise re-implementing.
 
 // FillFunc produces the initial value of quantity q at global coordinate
-// (x, y, z).
+// (x, y, z). Fill may call it from several goroutines at once, so it must be
+// safe for concurrent use; a pure function of its arguments is.
 type FillFunc func(q, x, y, z int) float32
 
-// Fill initializes every interior cell of every subdomain from f. Each
+// Fill initializes every interior cell of every subdomain from f, calling f
+// exactly once per interior cell. Subdomains are filled in parallel, one per
+// goroutine on up to GOMAXPROCS goroutines, and the bytes are the same at
+// any GOMAXPROCS; a panic in f is re-raised on the calling goroutine. Each
 // interior x-run is written through one row slice, one float32 per cell (the
 // first 4 bytes of each ElemSize-byte cell, as Subdomain.Set writes it).
 // Requires Config.RealData.
 func (dd *DistributedDomain) Fill(f FillFunc) {
 	dd.requireRealData("Fill")
-	es := dd.cfg.ElemSize
-	for _, s := range dd.subs {
-		dom := s.sub.Dom
-		for q := 0; q < dd.cfg.Quantities; q++ {
-			for z := 0; z < s.Size.Z; z++ {
-				gz := s.Origin.Z + z
-				for y := 0; y < s.Size.Y; y++ {
-					gy := s.Origin.Y + y
-					row := dom.Row(q, 0, s.Size.X, y, z)
-					for x, off := 0, 0; x < s.Size.X; x, off = x+1, off+es {
-						binary.LittleEndian.PutUint32(row[off:], math.Float32bits(f(q, s.Origin.X+x, gy, gz)))
-					}
+	dd.ex.ForEachSub(func(i int) { dd.subs[i].fill(f) })
+}
+
+// fill writes f over the subdomain's interior cells, quantity by quantity.
+func (s *Subdomain) fill(f FillFunc) {
+	es := s.dd.cfg.ElemSize
+	dom := s.sub.Dom
+	for q := 0; q < s.dd.cfg.Quantities; q++ {
+		for z := 0; z < s.Size.Z; z++ {
+			gz := s.Origin.Z + z
+			for y := 0; y < s.Size.Y; y++ {
+				gy := s.Origin.Y + y
+				row := dom.Row(q, 0, s.Size.X, y, z)
+				for x, off := 0, 0; x < s.Size.X; x, off = x+1, off+es {
+					binary.LittleEndian.PutUint32(row[off:], math.Float32bits(f(q, s.Origin.X+x, gy, gz)))
 				}
 			}
 		}

@@ -2,7 +2,9 @@ package stencil
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -263,6 +265,77 @@ func TestRealDataAccessorsNeedRealData(t *testing.T) {
 	}
 }
 
+// TestParallelRealDataSetup: New and Fill split real-data set-up by
+// subdomain over GOMAXPROCS goroutines. At GOMAXPROCS 1 and 4 on a 2-node
+// real-data job every subdomain's bytes are the same, f sees each interior
+// (q, x, y, z) exactly once, the halos verify after one Step, and a FillFunc
+// panic surfaces on the caller's goroutine with its own value.
+func TestParallelRealDataSetup(t *testing.T) {
+	cfg := Config{
+		Nodes: 2, RanksPerNode: 2, Domain: Dim3{X: 36, Y: 24, Z: 24}, Radius: 2, Quantities: 2,
+		Capabilities: CapsAll(), RealData: true,
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var want []uint64
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		dd, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mu sync.Mutex
+		calls := make(map[[4]int]int)
+		dd.Fill(func(q, x, y, z int) float32 {
+			mu.Lock()
+			calls[[4]int{q, x, y, z}]++
+			mu.Unlock()
+			return fillPattern(q, x, y, z)
+		})
+		if n := cfg.Quantities * cfg.Domain.Vol(); len(calls) != n {
+			t.Errorf("GOMAXPROCS %d: f saw %d distinct cells, want %d", procs, len(calls), n)
+		}
+		for c, k := range calls {
+			if k != 1 {
+				t.Fatalf("GOMAXPROCS %d: f called %d times for (q, x, y, z) = %v", procs, k, c)
+			}
+		}
+		var got []uint64
+		for _, s := range dd.subs {
+			got = append(got, s.sub.Dom.Fingerprint())
+		}
+		if want == nil {
+			want = got
+		} else {
+			for i := range got {
+				if got[i] != want[i] {
+					t.Errorf("GOMAXPROCS %d: sub %v fingerprint %x, GOMAXPROCS 1 read %x",
+						procs, dd.subs[i].GlobalIndex(), got[i], want[i])
+				}
+			}
+		}
+		dd.Step(1, func(*Subdomain) {})
+		if bad, detail := dd.VerifyHalos(fillPattern); bad != 0 {
+			t.Errorf("GOMAXPROCS %d: %d bad halo cells: %s", procs, bad, detail)
+		}
+
+		last := dd.subs[len(dd.subs)-1]
+		boom := [4]int{1, last.Origin.X, last.Origin.Y + 1, last.Origin.Z}
+		func() {
+			defer func() {
+				if r := recover(); r != "boom" {
+					t.Errorf("GOMAXPROCS %d: Fill re-raised %v, want the FillFunc's panic", procs, r)
+				}
+			}()
+			dd.Fill(func(q, x, y, z int) float32 {
+				if [4]int{q, x, y, z} == boom {
+					panic("boom")
+				}
+				return fillPattern(q, x, y, z)
+			})
+		}()
+	}
+}
+
 // Benchmarks at realdata-verify's shape: 2 nodes, 2 ranks per node, 6 GPUs
 // per node, a 192^3 domain, 4 quantities, radius 2.
 func realdataBenchConfig() Config {
@@ -284,6 +357,19 @@ func BenchmarkFill(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		dd.Fill(benchFill)
+	}
+}
+
+// BenchmarkRealDataSetup times both halves of realdata-verify's setup_s:
+// New (which allocates the subdomains' backing stores) and Fill.
+func BenchmarkRealDataSetup(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		dd, err := New(realdataBenchConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
 		dd.Fill(benchFill)
 	}
 }

@@ -19,6 +19,9 @@ package exchange
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/nodeaware/stencil/internal/cudart"
@@ -753,11 +756,70 @@ func (e *Exchanger) place() {
 				LocalGPU:   local,
 				Rank:       n*e.Opts.RanksPerNode + local/e.gpusPerRank,
 				Dev:        e.RT.DeviceAt(n, local),
-				Dom:        halo.NewDomain(size, e.Opts.Radius, e.Opts.Quantities, e.Opts.ElemSize, e.Opts.RealData),
+				Dom:        halo.NewDomain(size, e.Opts.Radius, e.Opts.Quantities, e.Opts.ElemSize, false),
 			}
 			sub.kernelStream = sub.Dev.NewStreamNum("sub", n*gpusPerNode+s, ".kernel")
 			e.Subs[n*gpusPerNode+s] = sub
 		}
+	}
+	// Real-data backing stores are allocated one subdomain per goroutine,
+	// once every subdomain's extent is decided.
+	if e.Opts.RealData {
+		e.ForEachSub(func(i int) { e.Subs[i].Dom.Alloc() })
+	}
+}
+
+// ForEachSub calls fn(i) exactly once for every index i of Subs, spread over
+// min(GOMAXPROCS, len(Subs)) goroutines (the caller's among them), each of
+// which claims the next unclaimed index. fn may write only subdomain i's
+// state. ForEachSub returns once every call has returned. If a call panics,
+// no further index is claimed, and after the other goroutines stop the
+// panic of the lowest panicking index is re-raised, with its original
+// value, on the calling goroutine.
+func (e *Exchanger) ForEachSub(fn func(i int)) {
+	n := len(e.Subs)
+	var (
+		next     atomic.Int64
+		failed   atomic.Bool
+		mu       sync.Mutex
+		panicAt  = n
+		panicVal any
+	)
+	run := func(i int) {
+		defer func() {
+			if r := recover(); r != nil {
+				failed.Store(true)
+				mu.Lock()
+				if i < panicAt {
+					panicAt, panicVal = i, r
+				}
+				mu.Unlock()
+			}
+		}()
+		fn(i)
+	}
+	work := func() {
+		for !failed.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			run(i)
+		}
+	}
+	var wg sync.WaitGroup
+	workers := min(runtime.GOMAXPROCS(0), n)
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	if panicAt < n {
+		panic(panicVal)
 	}
 }
 

@@ -36,9 +36,8 @@ type Domain struct {
 	Quantities int
 	ElemSize   int // bytes per grid value (4 for single precision)
 
-	stride  part.Dim3 // allocated extents including halo
-	data    [][]byte  // one allocation per quantity; nil in time-only mode
-	perCell int       // ElemSize (cached for clarity at call sites)
+	stride part.Dim3 // allocated extents including halo
+	data   [][]byte  // one allocation per quantity; nil in time-only mode
 }
 
 // NewDomain allocates a subdomain. If real is false the domain is time-only:
@@ -56,16 +55,21 @@ func NewDomain(size part.Dim3, radius, quantities, elemSize int, real bool) *Dom
 		Quantities: quantities,
 		ElemSize:   elemSize,
 		stride:     part.Dim3{X: size.X + 2*radius, Y: size.Y + 2*radius, Z: size.Z + 2*radius},
-		perCell:    elemSize,
 	}
 	if real {
-		n := d.stride.Vol() * elemSize
-		d.data = make([][]byte, quantities)
-		for q := range d.data {
-			d.data[q] = make([]byte, n)
-		}
+		d.Alloc()
 	}
 	return d
+}
+
+// Alloc gives a time-only domain its zeroed backing store, one allocation
+// per quantity.
+func (d *Domain) Alloc() {
+	n := d.stride.Vol() * d.ElemSize
+	d.data = make([][]byte, d.Quantities)
+	for q := range d.data {
+		d.data[q] = make([]byte, n)
+	}
 }
 
 // Real reports whether the domain carries backing bytes.
